@@ -78,9 +78,10 @@ bench-kernels:
 	$(GO) test -run xxx -bench . ./internal/tensor ./internal/autograd \
 		| $(GO) run ./cmd/benchjson > BENCH_kernels.json
 
-# Transport benchmarks: gob vs gtvwire-binary round-trip latency and
-# allocs/op at paper-scale payloads, plus the delayed-round latency
-# comparison. Recorded as JSON in BENCH_comm.json.
+# Transport benchmarks: gtvwire round-trip latency, allocs/op and framed
+# bytes/op at paper-scale payloads (f64 and f32 payload modes), plus the
+# delayed-round latency of the sequential, concurrent and gtvwire-loopback
+# drivers. Recorded as JSON in BENCH_comm.json.
 bench-comm:
 	{ $(GO) test -run xxx -bench BenchmarkWireRoundTrip -benchtime 50x ./internal/vfl ; \
 	  $(GO) test -run xxx -bench 'BenchmarkGTVTrainingRoundLatency$$' -benchtime 5x . ; } \

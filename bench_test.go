@@ -189,13 +189,12 @@ func BenchmarkGTVTrainingRound(b *testing.B) {
 // comparison with a simulated 2ms transport delay on every client call —
 // the realistic deployment regime, where round time is dominated by network
 // latency rather than local matrix math. The concurrent driver overlaps the
-// per-client waits, so it wins even on a single core. The gob and binary
-// variants run the same delayed clients behind real TCP loopback
-// transports, comparing net/rpc+gob against the gtvwire binary protocol
-// under the concurrent driver.
+// per-client waits, so it wins even on a single core. The binary variant
+// runs the same delayed clients behind real gtvwire TCP loopback
+// transports under the concurrent driver.
 func BenchmarkGTVTrainingRoundLatency(b *testing.B) {
 	const numClients = 4
-	run := func(par int, wire string) func(*testing.B) {
+	run := func(par int, binary bool) func(*testing.B) {
 		return func(b *testing.B) {
 			d, err := datasets.Generate("intrusion", datasets.Config{Rows: 300, Seed: 1})
 			if err != nil {
@@ -218,23 +217,8 @@ func BenchmarkGTVTrainingRoundLatency(b *testing.B) {
 				}
 				slow := vfl.NewFaultyTransport(lc)
 				slow.SetDelay(2 * time.Millisecond)
-				switch wire {
-				case "local":
-					clients[i] = slow
-				case "gob":
-					lis, err := net.Listen("tcp", "127.0.0.1:0")
-					if err != nil {
-						b.Fatal(err)
-					}
-					b.Cleanup(func() { lis.Close() })
-					go func() { _ = vfl.ServeClient(lis, slow) }()
-					proxy, err := vfl.DialClient("tcp", lis.Addr().String())
-					if err != nil {
-						b.Fatal(err)
-					}
-					b.Cleanup(func() { proxy.Close() })
-					clients[i] = proxy
-				case "binary":
+				clients[i] = slow
+				if binary {
 					lis, err := net.Listen("tcp", "127.0.0.1:0")
 					if err != nil {
 						b.Fatal(err)
@@ -266,10 +250,9 @@ func BenchmarkGTVTrainingRoundLatency(b *testing.B) {
 			}
 		}
 	}
-	b.Run(fmt.Sprintf("clients=%d/delay=2ms/sequential", numClients), run(1, "local"))
-	b.Run(fmt.Sprintf("clients=%d/delay=2ms/concurrent", numClients), run(0, "local"))
-	b.Run(fmt.Sprintf("clients=%d/delay=2ms/concurrent/gob", numClients), run(0, "gob"))
-	b.Run(fmt.Sprintf("clients=%d/delay=2ms/concurrent/binary", numClients), run(0, "binary"))
+	b.Run(fmt.Sprintf("clients=%d/delay=2ms/sequential", numClients), run(1, false))
+	b.Run(fmt.Sprintf("clients=%d/delay=2ms/concurrent", numClients), run(0, false))
+	b.Run(fmt.Sprintf("clients=%d/delay=2ms/concurrent/binary", numClients), run(0, true))
 }
 
 // BenchmarkGTVSynthesize measures joint synthesis throughput.

@@ -1,5 +1,6 @@
 // Command gtv-client runs one GTV client as a standalone process, serving
-// its bottom models over TCP to a gtv-server.
+// its bottom models over TCP to a gtv-server with the gtvwire binary
+// protocol.
 //
 // Each client owns a vertical slice of the dataset. For this demo the
 // slice is carved from a deterministic synthetic dataset (every party
@@ -41,7 +42,6 @@ func run(args []string) error {
 		numClients = fs.Int("num-clients", 2, "total clients in the federation")
 		secret     = fs.Int64("secret", 0x67747673, "shared shuffle secret (must match every client; never give it to the server)")
 		seed       = fs.Int64("seed", 1, "dataset seed (must match every client)")
-		wire       = fs.String("wire", "gob", "wire protocol to serve: gob (net/rpc) | binary (gtvwire frames, pipelined); must match the server's -wire")
 		dataDir    = fs.String("data-dir", "", "keep this client's encoded matrix in a gtvcol columnar file under this directory (flat-memory training; reruns reuse it)")
 		blockCache = fs.Int("block-cache", 0, "decoded-block cache budget in MiB (0 = 256); only with -data-dir")
 	)
@@ -81,13 +81,7 @@ func run(args []string) error {
 	if err != nil {
 		return fmt.Errorf("listening on %s: %w", *listen, err)
 	}
-	fmt.Printf("gtv-client %d/%d serving %d columns of %s on %s (%s wire)\n",
-		*clientIdx, *numClients, local.Cols(), *dataset, lis.Addr(), *wire)
-	switch *wire {
-	case "gob":
-		return vfl.ServeClient(lis, client)
-	case "binary":
-		return vfl.ServeClientWire(lis, client)
-	}
-	return fmt.Errorf("unknown -wire %q (want gob or binary)", *wire)
+	fmt.Printf("gtv-client %d/%d serving %d columns of %s on %s\n",
+		*clientIdx, *numClients, local.Cols(), *dataset, lis.Addr())
+	return vfl.ServeClientWire(lis, client)
 }

@@ -1,6 +1,6 @@
 // Command gtv-server runs the GTV trusted-third-party server: it dials the
-// client processes, drives Algorithm 1 over TCP, and writes the joint
-// synthetic dataset.
+// client processes, drives Algorithm 1 over TCP with the gtvwire binary
+// protocol, and writes the joint synthetic dataset.
 //
 // Usage:
 //
@@ -40,13 +40,12 @@ func run(args []string) error {
 		dpNoise    = fs.Float64("dp-noise", 0, "Gaussian DP noise std on received logits")
 		seed       = fs.Int64("seed", 1, "server random seed")
 		parallel   = fs.Int("parallel-clients", 0, "max clients driven concurrently per round (0 = all, 1 = sequential; results are identical)")
-		callTO     = fs.Duration("call-timeout", 30*time.Second, "per-RPC deadline (0 = wait forever)")
-		callTries  = fs.Int("call-retries", 2, "retries per RPC on transient transport errors")
-		callWait   = fs.Duration("call-backoff", 50*time.Millisecond, "initial backoff between RPC retries (doubles per retry)")
-		wire       = fs.String("wire", "gob", "wire protocol to the clients: gob (net/rpc) | binary (gtvwire frames, pipelined); must match the clients' -wire")
-		wireF32    = fs.Bool("wire-f32", false, "send activations/gradients as float32 on the binary wire")
+		callTO     = fs.Duration("call-timeout", 30*time.Second, "per-call deadline (0 = wait forever)")
+		callTries  = fs.Int("call-retries", 2, "retries per call on transient transport errors")
+		callWait   = fs.Duration("call-backoff", 50*time.Millisecond, "initial backoff between call retries (doubles per retry)")
+		wireF32    = fs.Bool("wire-f32", false, "send activations/gradients as float32 on the wire")
 		wireTopK   = fs.Float64("wire-topk", 0, "keep only this fraction of each outbound gradient (top-k with error feedback; lossy, 0 = off)")
-		wireDelta  = fs.Bool("wire-delta", false, "fetch client checkpoints as deltas against the previous fetch on the binary wire (lossless)")
+		wireDelta  = fs.Bool("wire-delta", false, "fetch client checkpoints as deltas against the previous fetch (lossless)")
 		faithful   = fs.Bool("faithful-real-pass", false, "use the paper's full-local-pass index privacy mode")
 		synthRows  = fs.Int("synth-rows", 500, "synthetic rows to generate after training")
 		synthOut   = fs.String("synth-out", "synthetic.csv", "output CSV path")
@@ -68,39 +67,20 @@ func run(args []string) error {
 		MaxAttempts: 1 + *callTries,
 		Backoff:     *callWait,
 	}
-	if *wireF32 && *wire != "binary" {
-		return fmt.Errorf("-wire-f32 requires -wire binary, got %q", *wire)
-	}
-	if *wireDelta && *wire != "binary" {
-		return fmt.Errorf("-wire-delta requires -wire binary, got %q", *wire)
-	}
 	addrs := strings.Split(*clientsArg, ",")
 	clients := make([]vfl.Client, len(addrs))
 	for i, addr := range addrs {
 		addr = strings.TrimSpace(addr)
-		switch *wire {
-		case "gob":
-			proxy, err := vfl.DialClientPolicy("tcp", addr, policy)
-			if err != nil {
-				return err
-			}
-			//lint:ignore errdrop teardown of a finished training connection, nothing left to lose
-			defer func() { _ = proxy.Close() }()
-			clients[i] = proxy
-		case "binary":
-			proxy, err := vfl.DialWireClientPolicy("tcp", addr, policy)
-			if err != nil {
-				return err
-			}
-			proxy.SetFloat32(*wireF32)
-			proxy.SetDelta(*wireDelta)
-			//lint:ignore errdrop teardown of a finished training connection, nothing left to lose
-			defer func() { _ = proxy.Close() }()
-			clients[i] = proxy
-		default:
-			return fmt.Errorf("unknown -wire %q (want gob or binary)", *wire)
+		proxy, err := vfl.DialWireClientPolicy("tcp", addr, policy)
+		if err != nil {
+			return err
 		}
-		fmt.Printf("connected to client %d at %s (%s wire)\n", i, addr, *wire)
+		proxy.SetFloat32(*wireF32)
+		proxy.SetDelta(*wireDelta)
+		//lint:ignore errdrop teardown of a finished training connection, nothing left to lose
+		defer func() { _ = proxy.Close() }()
+		clients[i] = proxy
+		fmt.Printf("connected to client %d at %s\n", i, addr)
 	}
 
 	cfg := vfl.Config{

@@ -51,7 +51,7 @@ func run(args []string, stdout io.Writer) error {
 		dpNoise     = fs.Float64("dp-noise", 0, "Gaussian DP noise std on exchanged logits (GTV only)")
 		seed        = fs.Int64("seed", 1, "random seed")
 		parallel    = fs.Int("parallel-clients", 0, "max clients driven concurrently per round (0 = all, 1 = sequential; results are identical)")
-		wire        = fs.String("wire", "local", "client transport (GTV only): local (in-process) | gob (net/rpc over TCP loopback) | binary (gtvwire frames over TCP loopback)")
+		wire        = fs.String("wire", "local", "client transport (GTV only): local (in-process) | binary (gtvwire frames over TCP loopback)")
 		wireF32     = fs.Bool("wire-f32", false, "send activations/gradients as float32 on the binary wire (halves boundary traffic, breaks exact cross-transport reproducibility)")
 		wireTopK    = fs.Float64("wire-topk", 0, "keep only this fraction of each outbound gradient (top-k with error feedback; lossy, 0 = off)")
 		wireDelta   = fs.Bool("wire-delta", false, "fetch client checkpoints as deltas against the previous fetch (binary wire only, lossless)")

@@ -3,7 +3,7 @@
 // (the pipelined binary frame protocol — see DESIGN.md "Wire protocol");
 // the server dials them like remote parties and drives Algorithm 1 over
 // the wire. Byte-for-byte, this is the traffic a two-machine deployment
-// (cmd/gtv-server + cmd/gtv-client, both with -wire binary) exchanges.
+// (cmd/gtv-server + cmd/gtv-client) exchanges.
 package main
 
 import (

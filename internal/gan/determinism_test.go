@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
-
-	"repro/internal/nn"
 )
 
 // TestCentralizedWeightsByteIdentical trains the same configuration twice
@@ -33,14 +31,7 @@ func TestCentralizedWeightsByteIdentical(t *testing.T) {
 		if err := g.Train(nil); err != nil {
 			t.Fatalf("Train: %v", err)
 		}
-		var buf bytes.Buffer
-		if err := nn.SaveParams(&buf, g.gen); err != nil {
-			t.Fatalf("SaveParams(gen): %v", err)
-		}
-		if err := nn.SaveParams(&buf, g.disc); err != nil {
-			t.Fatalf("SaveParams(disc): %v", err)
-		}
-		return buf.Bytes()
+		return weightBytes(t, g)
 	}
 	if !bytes.Equal(weights(), weights()) {
 		t.Fatal("same-seed training runs produced different weight bytes")

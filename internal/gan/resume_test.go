@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/encoding"
 	"repro/internal/nn"
+	"repro/internal/snap"
 )
 
 // resumeTestConfig is small enough that the resume tests stay fast under
@@ -23,17 +24,14 @@ func resumeTestConfig() Config {
 	return cfg
 }
 
-// weightBytes serializes both networks for exact comparison.
+// weightBytes serializes both networks, BatchNorm running statistics
+// included, for exact comparison.
 func weightBytes(t *testing.T, c *Centralized) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := nn.SaveParams(&buf, c.gen); err != nil {
-		t.Fatalf("SaveParams(gen): %v", err)
-	}
-	if err := nn.SaveParams(&buf, c.disc); err != nil {
-		t.Fatalf("SaveParams(disc): %v", err)
-	}
-	return buf.Bytes()
+	b := snap.NewBuilder(snap.KindCentralized)
+	b.Section(secCGen, func(e *snap.Enc) { nn.EncodeParams(e, c.gen) })
+	b.Section(secCDisc, func(e *snap.Enc) { nn.EncodeParams(e, c.disc) })
+	return b.Bytes()
 }
 
 // synthCSV renders a synthesis run to CSV bytes for exact comparison.

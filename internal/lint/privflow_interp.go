@@ -654,7 +654,7 @@ func (in *interp) evalCall(call *ast.CallExpr) []taintVal {
 }
 
 // calleeObj resolves the called object, unwrapping generic instantiations
-// (callRPC[R](...)) down to the generic function object.
+// (wireCall[R](...)) down to the generic function object.
 func (in *interp) calleeObj(call *ast.CallExpr) types.Object {
 	fun := ast.Unparen(call.Fun)
 	switch idx := fun.(type) {

@@ -1,12 +1,13 @@
 package nn
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	ag "repro/internal/autograd"
+	"repro/internal/snap"
 	"repro/internal/tensor"
 )
 
@@ -229,34 +230,71 @@ func TestClipGradNorm(t *testing.T) {
 	}
 }
 
-func TestSaveLoadParamsRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	src := NewSequential(NewLinear(rng, 3, 4), ReLU{}, NewLinear(rng, 4, 2))
-	dst := NewSequential(NewLinear(rng, 3, 4), ReLU{}, NewLinear(rng, 4, 2))
+// encodeParams snapshots l's parameters and BatchNorm running statistics
+// into a one-section gtvsnap image.
+func encodeParams(l Layer) []byte {
+	b := snap.NewBuilder(snap.KindCentralized)
+	b.Section(1, func(e *snap.Enc) { EncodeParams(e, l) })
+	return b.Bytes()
+}
 
-	var buf bytes.Buffer
-	if err := SaveParams(&buf, src); err != nil {
-		t.Fatalf("SaveParams: %v", err)
+// restoreParams decodes an image written by encodeParams into l.
+func restoreParams(image []byte, l Layer) error {
+	s, err := snap.Decode(image)
+	if err != nil {
+		return err
 	}
-	if err := LoadParams(&buf, dst); err != nil {
-		t.Fatalf("LoadParams: %v", err)
+	d, err := s.Need(1, "params")
+	if err != nil {
+		return err
+	}
+	return RestoreParams(d, l)
+}
+
+// TestEncodeRestoreParamsRoundTrip trains a stack with a BatchNorm so its
+// running statistics move away from their initial (0, 1), restores it into
+// a fresh twin, and requires eval-mode outputs to be bit-equal. Eval mode
+// reads the running statistics, which Params() does not cover, so this
+// fails if the codec drops them.
+func TestEncodeRestoreParamsRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	build := func() *Sequential {
+		return NewSequential(NewLinear(rng, 3, 4), NewBatchNorm(4), ReLU{}, NewLinear(rng, 4, 2))
+	}
+	src, dst := build(), build()
+	for i := 0; i < 5; i++ {
+		src.Forward(ag.Const(tensor.Randn(rng, 16, 3, 2, 3)), true)
+	}
+	if err := restoreParams(encodeParams(src), dst); err != nil {
+		t.Fatalf("RestoreParams: %v", err)
 	}
 	x := ag.Const(tensor.Randn(rng, 5, 3, 0, 1))
-	if !src.Forward(x, false).Data().AllClose(dst.Forward(x, false).Data(), 1e-12) {
-		t.Fatal("loaded model differs from saved model")
+	if !src.Forward(x, false).Data().Equal(dst.Forward(x, false).Data()) {
+		t.Fatal("restored model's eval-mode output differs from the original")
 	}
 }
 
-func TestLoadParamsShapeMismatch(t *testing.T) {
+func TestRestoreParamsShapeMismatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	src := NewLinear(rng, 3, 4)
-	dst := NewLinear(rng, 3, 5)
-	var buf bytes.Buffer
-	if err := SaveParams(&buf, src); err != nil {
-		t.Fatalf("SaveParams: %v", err)
-	}
-	if err := LoadParams(&buf, dst); err == nil {
+	if err := restoreParams(encodeParams(NewLinear(rng, 3, 4)), NewLinear(rng, 3, 5)); err == nil {
 		t.Fatal("expected shape-mismatch error")
+	}
+}
+
+// hiddenNorms forwards to a layer while hiding it from BatchNorms, so a
+// stack can hold the same parameters as another with fewer running stats.
+type hiddenNorms struct{ Layer }
+
+// TestRestoreParamsBatchNormCountMismatch: the two stacks have identical
+// parameter lists, so only the running-statistic count tells them apart,
+// and it alone must reject the restore.
+func TestRestoreParamsBatchNormCountMismatch(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	src := NewSequential(NewLinear(rng, 3, 4), NewBatchNorm(4))
+	dst := NewSequential(NewLinear(rng, 3, 4), hiddenNorms{NewBatchNorm(4)})
+	err := restoreParams(encodeParams(src), dst)
+	if err == nil || !strings.Contains(err.Error(), "batch-norm stats") {
+		t.Fatalf("want a batch-norm count mismatch, got %v", err)
 	}
 }
 

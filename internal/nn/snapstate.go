@@ -6,7 +6,7 @@ package nn
 // back exactly — the bias corrections 1-beta^t and the per-element
 // moments feed every subsequent update — so the optimizer state is a
 // first-class part of the snapshot format, serialized in Params() order
-// (the same stable order SaveParams/LoadParams rely on).
+// (the same stable order EncodeParams/RestoreParams rely on).
 
 import (
 	"fmt"

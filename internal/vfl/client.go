@@ -57,7 +57,7 @@ type Setup struct {
 }
 
 // Client is the protocol surface the GTV server drives. LocalClient
-// implements it in-process; RPCClient proxies it over the network.
+// implements it in-process; WireClient proxies it over the network.
 //
 // Concurrency contract: the server fans protocol steps out across
 // clients, so distinct Client instances are driven from distinct
@@ -69,8 +69,8 @@ type Setup struct {
 // BETWEEN client instances (e.g. the ShuffleCoordinator) must be
 // immutable or internally synchronized. LocalClient meets the contract
 // because all its mutable state is per-instance and the coordinator is
-// immutable; RPCClient meets it because net/rpc clients are safe for
-// concurrent use and its reconnect path is mutex-guarded.
+// immutable; WireClient meets it because its calls are sequence-numbered
+// over one pipelined connection and its reconnect path is mutex-guarded.
 // Every data-returning Client method is a privacy sink: its results cross
 // to the server, so privflow verifies nothing source-tainted reaches them
 // unsanitized.

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"io"
 	"net"
-	"net/rpc"
 	"strings"
 	"testing"
 	"time"
@@ -12,7 +11,7 @@ import (
 
 // newFaultySystem builds a 2-client system where client B sits behind a
 // FaultyTransport wrapped in a retry/deadline policy, mirroring the stack a
-// real deployment gets from RPCClient. Faults are injected after setup so
+// real deployment gets from WireClient. Faults are injected after setup so
 // NewServer's Info/Configure round-trips stay clean.
 func newFaultySystem(t *testing.T, policy CallPolicy) (*Server, *FaultyTransport) {
 	t.Helper()
@@ -146,7 +145,6 @@ func TestIsTransientTaxonomy(t *testing.T) {
 		{"sentinel", ErrTransient, true},
 		{"eof", io.EOF, true},
 		{"unexpected eof", io.ErrUnexpectedEOF, true},
-		{"rpc shutdown", rpc.ErrShutdown, true},
 		{"net closed", net.ErrClosed, true},
 		{"op error", &net.OpError{Op: "dial", Err: errors.New("refused")}, true},
 		{"application", errors.New("vfl: backward before forward"), false},

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"net/rpc"
 	"time"
 
 	"repro/internal/condvec"
@@ -27,15 +26,14 @@ var ErrTransient = errors.New("vfl: transient transport error")
 
 // IsTransient reports whether an error looks like a transport-level fault
 // worth retrying: the connection dropped, reset, or was never established.
-// Application-level errors (rpc.ServerError, protocol violations) and
-// deadline expiries are not transient.
+// Application-level errors (remote error responses, protocol violations)
+// and deadline expiries are not transient.
 func IsTransient(err error) bool {
 	if err == nil || errors.Is(err, ErrCallTimeout) {
 		return false
 	}
-	if errors.Is(err, ErrTransient) || errors.Is(err, rpc.ErrShutdown) ||
-		errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) ||
-		errors.Is(err, net.ErrClosed) {
+	if errors.Is(err, ErrTransient) || errors.Is(err, io.EOF) ||
+		errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, net.ErrClosed) {
 		return true
 	}
 	var opErr *net.OpError
@@ -144,7 +142,7 @@ func attemptOnce[R any](timeout time.Duration, do func() (R, error)) (R, error) 
 }
 
 // policyClient applies a CallPolicy to every method of an arbitrary Client.
-// It is the in-process counterpart of RPCClient's built-in policy: tests
+// It is the in-process counterpart of WireClient's built-in policy: tests
 // stack it on a FaultyTransport to exercise retry, deadline and
 // cancellation paths without a network, and deployments can use it to
 // harden any custom transport.

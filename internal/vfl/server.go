@@ -279,8 +279,8 @@ func (s *Server) Ratios() []float64 { return s.ratios }
 // CommStats returns a consistent snapshot of the accumulated
 // server<->client payload accounting. It is safe to call from any
 // goroutine, including while a round is in flight. Clients whose
-// transport measures its connection (WireByteCounter: WireClient,
-// RPCClient, and wrappers that forward it) additionally contribute exact
+// transport measures its connection (WireByteCounter: WireClient and
+// wrappers that forward it) additionally contribute exact
 // framed bytes to the WireBytes field.
 func (s *Server) CommStats() CommStats {
 	stats := s.comm.snapshot()

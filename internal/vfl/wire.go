@@ -1,12 +1,12 @@
 package vfl
 
-// gtvwire: a stdlib-only, length-prefixed binary frame protocol that
-// replaces net/rpc+gob on the GTV network path. The paper's own cost
-// analysis (§4.3.1) makes boundary-payload traffic — generator slices,
-// critic logits and gradients every round — the dominant federated cost,
-// and the gob path paid for it three times over: ToWire copied every
-// matrix before encoding, gob re-described the types per stream, and
-// decoding allocated fresh slices outside the tensor free lists.
+// gtvwire: a stdlib-only, length-prefixed binary frame protocol, the GTV
+// network transport. The paper's own cost analysis (§4.3.1) makes
+// boundary-payload traffic — generator slices, critic logits and
+// gradients every round — the dominant federated cost, so the codec
+// avoids the three costs a generic serializer pays: no copy of a matrix
+// before encoding, no per-stream type description, and decoding into the
+// tensor free lists instead of fresh slices.
 //
 // The wire format is deliberately dumb and byte-exact (golden fixtures in
 // testdata/wire pin it):
@@ -20,7 +20,7 @@ package vfl
 //
 // Payloads are method-specific sequences of the primitives in
 // wirecodec.go. Matrix payloads are written directly from
-// tensor.Dense.Data() (no intermediate WireMatrix copy) and decoded into
+// tensor.Dense.Data() (no intermediate copy) and decoded into
 // tensor.NewPooled buffers, so a round-trip touches each float exactly
 // once per direction.
 //
@@ -28,9 +28,8 @@ package vfl
 // are sequence-numbered, responses may arrive in any order, and a demux
 // goroutine on the client routes each response frame to the caller
 // waiting on its sequence number (see wireclient.go). The server side
-// mirrors net/rpc's concurrency contract: every request is served in its
-// own goroutine and responses are written as they complete
-// (wireserver.go).
+// serves every request in its own goroutine and writes responses as they
+// complete (wireserver.go).
 
 import (
 	"encoding/binary"

@@ -709,16 +709,50 @@ func TestWireEndToEndTraining(t *testing.T) {
 	}
 }
 
-// TestGobBinaryEquivalence trains two identically-seeded systems over TCP
-// loopback — one on the net/rpc+gob transport, one on gtvwire — and
-// verifies the server's top-model parameters end up byte-identical. The
-// binary wire (f32 mode excluded by default) must be invisible to the
-// learning process.
-func TestGobBinaryEquivalence(t *testing.T) {
+// TestWireFaithfulMode runs a round of the paper's full-local-pass index
+// privacy mode over gtvwire, where ForwardReal ships every local row's
+// logits instead of a batch.
+func TestWireFaithfulMode(t *testing.T) {
 	if testing.Short() {
 		t.Skip("networked GAN training in -short mode")
 	}
-	build := func(binary bool) *Server {
+	ta, tb := twoClientTables(t, 120, 31)
+	coord := NewShuffleCoordinator(88)
+	la, err := NewLocalClient(ta, coord, 1)
+	if err != nil {
+		t.Fatalf("NewLocalClient: %v", err)
+	}
+	lb, err := NewLocalClient(tb, coord, 2)
+	if err != nil {
+		t.Fatalf("NewLocalClient: %v", err)
+	}
+	cfg := DefaultConfig()
+	cfg.Plan = Plan{DiscServer: 1, DiscClient: 1, GenServer: 1, GenClient: 1}
+	cfg.Rounds = 2
+	cfg.DiscSteps = 1
+	cfg.BatchSize = 16
+	cfg.NoiseDim = 8
+	cfg.BlockDim = 16
+	cfg.FaithfulRealPass = true
+	srv, err := NewServer([]Client{serveWire(t, la), serveWire(t, lb)}, cfg)
+	if err != nil {
+		t.Fatalf("NewServer: %v", err)
+	}
+	if _, _, err := srv.TrainRound(); err != nil {
+		t.Fatalf("TrainRound: %v", err)
+	}
+}
+
+// TestRPCMatchesLocalTrajectory trains two identically-seeded systems — one
+// on in-process clients, one with every client call going over gtvwire TCP
+// loopback — and requires byte-identical final top-model weights. The
+// network transport (f32 mode off) must be invisible to the learning
+// process.
+func TestRPCMatchesLocalTrajectory(t *testing.T) {
+	if testing.Short() {
+		t.Skip("networked GAN training in -short mode")
+	}
+	build := func(overWire bool) *Server {
 		ta, tb := twoClientTables(t, 120, 51)
 		coord := NewShuffleCoordinator(66)
 		la, err := NewLocalClient(ta, coord, 1)
@@ -729,11 +763,9 @@ func TestGobBinaryEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("NewLocalClient: %v", err)
 		}
-		var clients []Client
-		if binary {
+		clients := []Client{la, lb}
+		if overWire {
 			clients = []Client{serveWire(t, la), serveWire(t, lb)}
-		} else {
-			clients = []Client{serveLocal(t, la), serveLocal(t, lb)}
 		}
 		cfg := DefaultConfig()
 		cfg.Plan = Plan{DiscServer: 2, GenClient: 2}
@@ -751,22 +783,10 @@ func TestGobBinaryEquivalence(t *testing.T) {
 		}
 		return srv
 	}
-	gob := build(false)
-	bin := build(true)
-	gp := gob.gTop.Params()
-	bp := bin.gTop.Params()
-	for k := range gp {
-		if !gp[k].Data().Equal(bp[k].Data()) {
-			t.Fatalf("top generator param %d diverges between gob and binary transports", k)
-		}
-	}
-	gd := gob.dTop.Params()
-	bd := bin.dTop.Params()
-	for k := range gd {
-		if !gd[k].Data().Equal(bd[k].Data()) {
-			t.Fatalf("top discriminator param %d diverges between gob and binary transports", k)
-		}
-	}
+	local := build(false)
+	wire := build(true)
+	assertParamsEqual(t, "gTop", local.gTop, wire.gTop)
+	assertParamsEqual(t, "dTop", local.dTop, wire.dTop)
 }
 
 // TestWireFloat32Training opts a full loopback run into the f32 payload
@@ -837,9 +857,8 @@ func TestWireErrorPropagation(t *testing.T) {
 
 // TestWirePipelining issues many concurrent calls on ONE WireClient against
 // a delay-injected client and verifies they overlap on the single
-// connection: total wall-clock stays near one delay, not the sum. This is
-// the property net/rpc's per-call serialization could not provide, and the
-// race detector runs this test in CI (see ci.sh).
+// connection: total wall-clock stays near one delay, not the sum. The race
+// detector runs this test in CI (see ci.sh).
 func TestWirePipelining(t *testing.T) {
 	ta, _ := twoClientTables(t, 60, 43)
 	coord := NewShuffleCoordinator(31)
@@ -942,9 +961,74 @@ func TestWireRedialAfterDisconnect(t *testing.T) {
 	}
 }
 
-// TestWireSlowClientTripsDeadline mirrors the RPC transport's deadline
-// test on the binary wire: a short per-call deadline converts a slow reply
-// into ErrCallTimeout naming the client.
+// TestWireClientDisconnectMidRound kills one client process between
+// rounds — its listener closes, and with it every served connection — and
+// verifies the next round fails within the retry budget with an error
+// naming the dead client, instead of hanging the server.
+func TestWireClientDisconnectMidRound(t *testing.T) {
+	ta, tb := twoClientTables(t, 100, 91)
+	coord := NewShuffleCoordinator(12)
+	la, err := NewLocalClient(ta, coord, 1)
+	if err != nil {
+		t.Fatalf("NewLocalClient: %v", err)
+	}
+	lb, err := NewLocalClient(tb, coord, 2)
+	if err != nil {
+		t.Fatalf("NewLocalClient: %v", err)
+	}
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- ServeClientWire(lis, lb) }()
+	addrB := lis.Addr().String()
+	policy := CallPolicy{Timeout: 5 * time.Second, MaxAttempts: 2, Backoff: 10 * time.Millisecond}
+	pb, err := DialWireClientPolicy("tcp", addrB, policy)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	t.Cleanup(func() { pb.Close() })
+
+	cfg := DefaultConfig()
+	cfg.Plan = Plan{DiscServer: 2, GenClient: 2}
+	cfg.Rounds = 2
+	cfg.DiscSteps = 1
+	cfg.BatchSize = 16
+	cfg.NoiseDim = 8
+	cfg.BlockDim = 16
+	srv, err := NewServer([]Client{serveWire(t, la), pb}, cfg)
+	if err != nil {
+		t.Fatalf("NewServer: %v", err)
+	}
+	if _, _, err := srv.TrainRound(); err != nil {
+		t.Fatalf("round 1 with both clients alive: %v", err)
+	}
+
+	if err := lis.Close(); err != nil {
+		t.Fatalf("close listener: %v", err)
+	}
+	if err := <-served; err != nil {
+		t.Fatalf("serve loop: %v", err)
+	}
+	start := time.Now()
+	_, _, err = srv.TrainRound()
+	elapsed := time.Since(start)
+	if err == nil {
+		t.Fatal("round 2 must fail after client B died")
+	}
+	if !strings.Contains(err.Error(), addrB) {
+		t.Fatalf("error should name the dead client %s: %v", addrB, err)
+	}
+	// Budget: 2 fast-failing attempts plus backoff, far under the 5s
+	// per-call deadline; 10s leaves slack for a loaded CI machine.
+	if elapsed > 10*time.Second {
+		t.Fatalf("dead client stalled the round for %v", elapsed)
+	}
+}
+
+// TestWireSlowClientTripsDeadline: a short per-call deadline converts a
+// slow reply into ErrCallTimeout naming the client.
 func TestWireSlowClientTripsDeadline(t *testing.T) {
 	ta, _ := twoClientTables(t, 60, 43)
 	coord := NewShuffleCoordinator(31)
@@ -1093,8 +1177,8 @@ func TestWireBytesMatchesEstimate(t *testing.T) {
 }
 
 // TestWireFaultyTransportComposition stacks a WireClient under the fault
-// injector's wrapper the way tests stack RPCClient, confirming the
-// WireBytes passthrough and transient-fault retry compose.
+// injector's wrapper, confirming the WireBytes passthrough and
+// transient-fault retry compose.
 func TestWireFaultyTransportComposition(t *testing.T) {
 	ta, _ := twoClientTables(t, 60, 83)
 	coord := NewShuffleCoordinator(13)
