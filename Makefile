@@ -67,9 +67,11 @@ bench:
 	$(GO) test -run xxx -bench . -benchtime 1x .
 
 # The sequential-vs-concurrent round benchmarks behind the numbers recorded
-# in CHANGES.md.
+# in CHANGES.md, plus the end-of-round shuffle alone (in-memory and gtvcol
+# clients at 8k and 240k rows).
 bench-round:
 	$(GO) test -run xxx -bench 'BenchmarkGTVTrainingRound(Latency)?$$' -benchtime 5x .
+	$(GO) test -run xxx -bench BenchmarkLocalClientEndRound -benchmem ./internal/vfl
 
 # Kernel microbenchmarks (matmul variants, broadcast ops, backward passes),
 # recorded as JSON in BENCH_kernels.json. The raw go test output is echoed

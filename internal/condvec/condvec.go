@@ -67,6 +67,10 @@ type Sampler struct {
 	//privacy:source matching-row indices (idx_p)
 	catRows [][]int32
 	catOff  [][]int32
+	// rowOf, when set by MapRows, maps a catRows entry (a physical row of
+	// the table the sampler was built from) to the row's logical position;
+	// nil is identity.
+	rowOf []int32
 	// offsets[i] is the first CV position of span i (spans are re-based to
 	// the CV coordinate space, which contains only categorical one-hots).
 	offsets []int
@@ -76,6 +80,30 @@ type Sampler struct {
 // of span i.
 func (s *Sampler) candidates(i, cat int) []int32 {
 	return s.catRows[i][s.catOff[i][cat]:s.catOff[i][cat+1]]
+}
+
+// pick draws one row of a non-empty candidate group, in logical order.
+func (s *Sampler) pick(rng *rand.Rand, candidates []int32) int {
+	p := candidates[rng.Intn(len(candidates))]
+	if s.rowOf != nil {
+		return int(s.rowOf[p])
+	}
+	return int(p)
+}
+
+// MapRows makes every row drawn from the category index come back as
+// pos[row]: a party that keeps its table in physical order and presents a
+// shuffled logical order passes its physical→logical map here instead of
+// rewriting the index. Uniform draws (zero-width samplers, empty
+// categories) are taken directly in the logical space. The sampler keeps
+// pos, not a copy, so later in-place updates by the caller are seen; nil
+// restores identity.
+func (s *Sampler) MapRows(pos []int32) error {
+	if pos != nil && len(pos) != s.numRows {
+		return fmt.Errorf("condvec: row map length %d, table has %d rows", len(pos), s.numRows)
+	}
+	s.rowOf = pos
+	return nil
 }
 
 // NewSampler builds a sampler from a party's raw table and its fitted
@@ -200,7 +228,7 @@ func (s *Sampler) sample(rng *rand.Rand, batch int, probs [][]float64) (*Batch, 
 			// frequencies derived from the same table, but guard anyway).
 			rows[b] = rng.Intn(s.numRows)
 		} else {
-			rows[b] = int(candidates[rng.Intn(len(candidates))])
+			rows[b] = s.pick(rng, candidates)
 		}
 		cv.Set(b, s.offsets[span]+cat, 1)
 		choices[b] = Choice{Span: span, Category: cat}
@@ -209,9 +237,14 @@ func (s *Sampler) sample(rng *rand.Rand, batch int, probs [][]float64) (*Batch, 
 	return &Batch{CV: cv, Rows: rows, Choices: choices, Hot: hot}, nil
 }
 
-// Reindex updates the sampler's row-index lists after the party shuffles its
-// local data with permutation perm (new row k holds old row perm[k]).
+// Reindex updates the sampler's row-index lists after the party physically
+// shuffles its local data with permutation perm (new row k holds old row
+// perm[k]). It rewrites the whole index, so training parties compose a row
+// map (MapRows) instead; the two cannot be combined.
 func (s *Sampler) Reindex(perm []int) error {
+	if s.rowOf != nil {
+		return errors.New("condvec: Reindex on a sampler with a row map")
+	}
 	if len(perm) != s.numRows {
 		return fmt.Errorf("condvec: permutation length %d, table has %d rows", len(perm), s.numRows)
 	}
@@ -266,7 +299,7 @@ func (s *Sampler) SampleFixed(rng *rand.Rand, batch, spanIdx, category int) (*Ba
 	for b := 0; b < batch; b++ {
 		cv.Set(b, s.offsets[spanIdx]+category, 1)
 		if len(candidates) > 0 {
-			rows[b] = int(candidates[rng.Intn(len(candidates))])
+			rows[b] = s.pick(rng, candidates)
 		} else {
 			rows[b] = rng.Intn(s.numRows)
 		}

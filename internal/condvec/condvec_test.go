@@ -178,6 +178,59 @@ func TestReindexErrors(t *testing.T) {
 	}
 }
 
+// TestMapRowsMatchesReindex: handing the sampler a physical→logical row
+// map draws exactly the rows a physically reindexed sampler draws, from
+// the same generator stream.
+func TestMapRowsMatchesReindex(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	tbl, tr := buildTable(t, rng, 200)
+	reindexed, err := NewSampler(tbl, tr)
+	if err != nil {
+		t.Fatalf("NewSampler: %v", err)
+	}
+	mapped, err := NewSampler(tbl, tr)
+	if err != nil {
+		t.Fatalf("NewSampler: %v", err)
+	}
+	perm := tensor.Permutation(rng, 200)
+	if err := reindexed.Reindex(perm); err != nil {
+		t.Fatalf("Reindex: %v", err)
+	}
+	pos := make([]int32, len(perm))
+	for k, old := range perm {
+		pos[old] = int32(k)
+	}
+	if err := mapped.MapRows(pos[:10]); err == nil {
+		t.Fatal("MapRows accepted a short row map")
+	}
+	if err := mapped.MapRows(pos); err != nil {
+		t.Fatalf("MapRows: %v", err)
+	}
+	draws := map[string]func(*Sampler, *rand.Rand) (*Batch, error){
+		"Sample":          func(s *Sampler, r *rand.Rand) (*Batch, error) { return s.Sample(r, 64) },
+		"SampleSynthesis": func(s *Sampler, r *rand.Rand) (*Batch, error) { return s.SampleSynthesis(r, 64) },
+		"SampleFixed":     func(s *Sampler, r *rand.Rand) (*Batch, error) { return s.SampleFixed(r, 16, 1, 2) },
+	}
+	for name, draw := range draws {
+		want, err := draw(reindexed, rand.New(rand.NewSource(3)))
+		if err != nil {
+			t.Fatalf("%s (reindexed): %v", name, err)
+		}
+		got, err := draw(mapped, rand.New(rand.NewSource(3)))
+		if err != nil {
+			t.Fatalf("%s (mapped): %v", name, err)
+		}
+		for b := range want.Rows {
+			if got.Rows[b] != want.Rows[b] || got.Choices[b] != want.Choices[b] {
+				t.Fatalf("%s draw %d: mapped row %d, reindexed row %d", name, b, got.Rows[b], want.Rows[b])
+			}
+		}
+	}
+	if err := mapped.Reindex(perm); err == nil {
+		t.Fatal("Reindex accepted a sampler with a row map")
+	}
+}
+
 func TestNoCategoricalColumns(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	data := tensor.Randn(rng, 50, 2, 0, 1)

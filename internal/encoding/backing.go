@@ -1,6 +1,8 @@
 package encoding
 
 import (
+	"fmt"
+
 	"repro/internal/tensor"
 )
 
@@ -10,28 +12,30 @@ import (
 // Trainers draw batches through it, so the same training loop runs
 // in-core or out-of-core — bit-identically, since gtvcol round-trips
 // float64 bit patterns exactly.
+//
+// A backing only knows physical rows, in the order it was encoded, and
+// never re-orders them: a party that shuffles (training-with-shuffling)
+// keeps its own logical→physical row order and maps indices before it
+// calls in.
 type Backing interface {
 	// Rows returns the number of encoded rows.
 	Rows() int
 	// Width returns the encoded width.
 	Width() int
-	// GatherRows returns a pooled batch whose row k is encoded row idx[k].
-	// The caller owns the result and must Release it when the training
-	// step is done with it.
+	// GatherRows returns a pooled batch whose row k is physical row
+	// idx[k]. The caller owns the result and must Release it when the
+	// training step is done with it.
 	//
 	//shape: out(N,W)
 	GatherRows(idx []int) (*tensor.Dense, error)
-	// Dense returns the full encoded matrix. owned reports whether the
-	// caller must Release it: columnar backings expand it per call (the
-	// faithful-real-pass path; see DESIGN.md), the in-memory backing
-	// returns its resident matrix.
+	// Dense returns the full encoded matrix with physical row p at row
+	// pos[p]; a nil pos keeps the physical order. owned reports whether
+	// the caller must Release it: columnar backings expand it per call
+	// (the faithful-real-pass path; see DESIGN.md), the in-memory backing
+	// returns its resident matrix when pos is nil.
 	//
 	//shape: out(R,W)
-	Dense() (m *tensor.Dense, owned bool, err error)
-	// Shuffle re-orders the logical rows so that new row k holds old row
-	// perm[k] (training-with-shuffling). Columnar backings compose a row
-	// view instead of rewriting the immutable file.
-	Shuffle(perm []int) error
+	Dense(pos []int32) (m *tensor.Dense, owned bool, err error)
 	// Close releases file handles and caches; the in-memory backing is a
 	// no-op.
 	Close() error
@@ -61,15 +65,22 @@ func (b *DenseBacking) GatherRows(idx []int) (*tensor.Dense, error) {
 	return b.m.GatherRows(idx), nil
 }
 
-// Dense implements Backing: the resident matrix, not owned by the caller.
+// Dense implements Backing: the resident matrix, not owned by the caller,
+// or a pooled copy in pos order that the caller owns.
 //
 //shape: out(R,W)
-func (b *DenseBacking) Dense() (*tensor.Dense, bool, error) { return b.m, false, nil }
-
-// Shuffle implements Backing.
-func (b *DenseBacking) Shuffle(perm []int) error {
-	b.m = b.m.ShuffleRows(perm)
-	return nil
+func (b *DenseBacking) Dense(pos []int32) (*tensor.Dense, bool, error) {
+	if pos == nil {
+		return b.m, false, nil
+	}
+	if len(pos) != b.m.Rows() {
+		return nil, false, fmt.Errorf("encoding: row map length %d for %d rows", len(pos), b.m.Rows())
+	}
+	m := tensor.NewPooledUninit(b.m.Rows(), b.m.Cols())
+	for p, at := range pos {
+		copy(m.RawRow(int(at)), b.m.RawRow(p))
+	}
+	return m, true, nil
 }
 
 // Close implements Backing.

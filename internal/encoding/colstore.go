@@ -316,18 +316,14 @@ func encodeFingerprint(seed int64, cfg gmm.Config, rows int, specs []ColumnSpec)
 // --- columnar backing ------------------------------------------------------
 
 // colBacking serves a party's encoded matrix out of an immutable gtvcol
-// file. Shuffling composes a logical-to-physical row view instead of
-// rewriting the file, so training-with-shuffling works over data that
-// never moves on disk; resident memory stays bounded by the reader's
-// block cache plus the 4-byte-per-row view.
+// file in physical row order; resident memory stays bounded by the
+// reader's block cache.
 type colBacking struct {
 	// r reads the encoded real rows; everything it serves is exactly as
 	// sensitive as the in-memory encoded matrix it replaces.
 	//privacy:source client encoded matrix (on-disk columnar store)
 	r *coldata.Reader
-	// view maps logical row k to its physical file row; nil is identity.
-	view []int32
-	// idxBuf is the reusable physical-index scratch for GatherRows.
+	// idxBuf is the reusable int32 row-index scratch for GatherRows.
 	idxBuf []int32
 }
 
@@ -350,11 +346,7 @@ func (b *colBacking) GatherRows(idx []int) (*tensor.Dense, error) {
 		if i < 0 || i >= b.r.Rows() {
 			return nil, fmt.Errorf("encoding: gather row %d out of range %d", i, b.r.Rows())
 		}
-		if b.view != nil {
-			phys[k] = b.view[i]
-		} else {
-			phys[k] = int32(i)
-		}
+		phys[k] = int32(i)
 	}
 	dst := tensor.NewPooledUninit(len(idx), b.r.Cols())
 	if err := b.r.GatherRowsInto(phys, dst); err != nil {
@@ -365,26 +357,22 @@ func (b *colBacking) GatherRows(idx []int) (*tensor.Dense, error) {
 }
 
 // Dense implements Backing by expanding the whole file into a pooled
-// matrix (owned by the caller). This is the memory-heavy escape hatch the
-// faithful real pass needs; batched training never calls it.
+// matrix (owned by the caller), scattering each physical row to pos[p].
+// This is the memory-heavy escape hatch the faithful real pass needs;
+// batched training never calls it.
 //
 //shape: out(R,W)
-func (b *colBacking) Dense() (*tensor.Dense, bool, error) {
+func (b *colBacking) Dense(pos []int32) (*tensor.Dense, bool, error) {
 	rows, cols := b.r.Rows(), b.r.Cols()
-	// inv sends physical file row p to its logical position.
-	var inv []int32
-	if b.view != nil {
-		inv = make([]int32, rows)
-		for k, p := range b.view {
-			inv[p] = int32(k)
-		}
+	if pos != nil && len(pos) != rows {
+		return nil, false, fmt.Errorf("encoding: row map length %d for %d rows", len(pos), rows)
 	}
 	m := tensor.NewPooledUninit(rows, cols)
 	err := b.r.ScanStripes(func(first int, block *tensor.Dense) error {
 		for i := 0; i < block.Rows(); i++ {
 			at := first + i
-			if inv != nil {
-				at = int(inv[first+i])
+			if pos != nil {
+				at = int(pos[at])
 			}
 			copy(m.RawRow(at), block.RawRow(i))
 		}
@@ -395,27 +383,6 @@ func (b *colBacking) Dense() (*tensor.Dense, bool, error) {
 		return nil, false, err
 	}
 	return m, true, nil
-}
-
-// Shuffle implements Backing by composing the permutation into the view.
-func (b *colBacking) Shuffle(perm []int) error {
-	rows := b.r.Rows()
-	if len(perm) != rows {
-		return fmt.Errorf("encoding: shuffle permutation length %d for %d rows", len(perm), rows)
-	}
-	next := make([]int32, rows)
-	for k, p := range perm {
-		if p < 0 || p >= rows {
-			return fmt.Errorf("encoding: invalid permutation entry %d", p)
-		}
-		if b.view != nil {
-			next[k] = b.view[p]
-		} else {
-			next[k] = int32(p)
-		}
-	}
-	b.view = next
-	return nil
 }
 
 // Close implements Backing.

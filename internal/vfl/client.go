@@ -183,6 +183,15 @@ type LocalClient struct {
 	// is how a checkpoint can capture "shuffle state" without ever
 	// serializing rows: restore replays the permutations locally.
 	shuffles int
+	// order maps logical row k — the row index the protocol speaks in —
+	// to its physical row in table, data and the sampler's index, which
+	// are never rewritten; pos is its inverse. Both are nil until the
+	// first shuffle (identity). Derived from the shuffle secret, they are
+	// as sensitive as the coordinator.
+	//privacy:source shuffled row order
+	order, pos []int32
+	// physBuf is ForwardReal's reusable physical-index scratch.
+	physBuf []int
 }
 
 var _ Client = (*LocalClient)(nil)
@@ -382,7 +391,7 @@ func (c *LocalClient) ForwardReal(idx []int) (*tensor.Dense, error) {
 	}
 	var rows *tensor.Dense
 	if idx == nil {
-		m, owned, err := c.data.Dense()
+		m, owned, err := c.data.Dense(c.pos)
 		if err != nil {
 			return nil, err
 		}
@@ -391,7 +400,11 @@ func (c *LocalClient) ForwardReal(idx []int) (*tensor.Dense, error) {
 		}
 		rows = m
 	} else {
-		m, err := c.data.GatherRows(idx)
+		phys, err := c.physicalRows(idx)
+		if err != nil {
+			return nil, err
+		}
+		m, err := c.data.GatherRows(phys)
 		if err != nil {
 			return nil, err
 		}
@@ -404,6 +417,24 @@ func (c *LocalClient) ForwardReal(idx []int) (*tensor.Dense, error) {
 	out := c.disc.Forward(ag.Const(rows), true)
 	c.lastRealOut = out
 	return out.Data(), nil
+}
+
+// physicalRows bounds-checks the server's logical row indices and maps
+// them through the row order into the reusable physBuf.
+func (c *LocalClient) physicalRows(idx []int) ([]int, error) {
+	n := c.table.Rows()
+	phys := c.physBuf[:0]
+	for _, i := range idx {
+		if i < 0 || i >= n {
+			return nil, fmt.Errorf("vfl: real row %d out of range %d", i, n)
+		}
+		if c.order != nil {
+			i = int(c.order[i])
+		}
+		phys = append(phys, i)
+	}
+	c.physBuf = phys
+	return phys, nil
 }
 
 // BackwardDisc implements Client.
@@ -479,17 +510,50 @@ func (c *LocalClient) BackwardGen(gradSynth *tensor.Dense, conditioned bool) (*t
 
 // EndRound implements Client: training-with-shuffling with the shared seed.
 func (c *LocalClient) EndRound(round int) error {
-	seed := c.coord.SeedForRound(round)
-	perm := rand.New(rand.NewSource(seed)).Perm(c.table.Rows())
-	c.table = c.table.ShuffleRows(perm)
-	if err := c.data.Shuffle(perm); err != nil {
-		return fmt.Errorf("vfl: shuffling encoded data: %w", err)
-	}
-	if err := c.sampler.Reindex(perm); err != nil {
-		return fmt.Errorf("vfl: reindexing CV sampler: %w", err)
+	if err := c.shuffle(c.coord.SeedForRound(round)); err != nil {
+		return err
 	}
 	c.shuffles++
 	return nil
+}
+
+// shuffle composes the seed's permutation into the row order: new logical
+// row k is old logical row perm[k], exactly as if every copy of the data
+// had been rewritten with ShuffleRows(perm). Only the int32 order, its
+// inverse and the sampler's view of the inverse change. The two buffers
+// trade roles each round — the stale inverse holds the permutation and
+// then the new order, the old order's storage receives the new inverse —
+// so a warm shuffle allocates no row state.
+func (c *LocalClient) shuffle(seed int64) error {
+	n := c.table.Rows()
+	next, inv := c.pos, c.order
+	if next == nil {
+		next, inv = make([]int32, n), make([]int32, n)
+	}
+	permInto(rand.New(rand.NewSource(seed)), next)
+	if c.order != nil {
+		for k, p := range next {
+			next[k] = c.order[p]
+		}
+	}
+	for k, p := range next {
+		inv[p] = int32(k)
+	}
+	c.order, c.pos = next, inv
+	if err := c.sampler.MapRows(c.pos); err != nil {
+		return fmt.Errorf("vfl: mapping CV sampler rows: %w", err)
+	}
+	return nil
+}
+
+// permInto fills buf with the permutation rand.Perm(len(buf)) would
+// return from r, consuming the same Intn draws, without allocating.
+func permInto(r *rand.Rand, buf []int32) {
+	for i := range buf {
+		j := r.Intn(i + 1)
+		buf[i] = buf[j]
+		buf[j] = int32(i)
+	}
 }
 
 // GenerateRows implements Client.
@@ -528,7 +592,18 @@ func (c *LocalClient) Publish() (*encoding.Table, error) {
 	return decoded.ShuffleRows(perm), nil
 }
 
-// Table exposes the client's (current, possibly shuffled) local table for
-// evaluation code. Production deployments would not export this; the
-// experiment harness uses it to compute real-vs-synthetic metrics.
-func (c *LocalClient) Table() *encoding.Table { return c.table }
+// Table exposes the client's local table in its current (possibly
+// shuffled) logical row order for evaluation code; after a shuffle each
+// call materializes a fresh copy. Production deployments would not export
+// this; the experiment harness uses it to compute real-vs-synthetic
+// metrics.
+func (c *LocalClient) Table() *encoding.Table {
+	if c.order == nil {
+		return c.table
+	}
+	perm := make([]int, len(c.order))
+	for k, p := range c.order {
+		perm[k] = int(p)
+	}
+	return c.table.ShuffleRows(perm)
+}

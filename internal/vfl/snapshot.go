@@ -18,7 +18,6 @@ package vfl
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"os"
 
 	ag "repro/internal/autograd"
@@ -225,10 +224,10 @@ func (c *LocalClient) Snapshot() ([]byte, error) {
 // constructed, already-configured client over the same data and seed. Row
 // order is rebuilt by replaying the checkpointed number of end-of-round
 // shuffles — the per-round permutations derive from the coordinator's
-// shared secret, so composing them locally reproduces exactly the order
-// the original run had at checkpoint time, one ShuffleRows instead of one
-// per round. On error the client state is unspecified; rebuild before
-// retrying.
+// shared secret, so composing them into the row order locally reproduces
+// exactly the order the original run had at checkpoint time, with O(rows)
+// int32 work per replayed round and no data moved. On error the client
+// state is unspecified; rebuild before retrying.
 func (c *LocalClient) Restore(state []byte) error {
 	if err := c.configured(); err != nil {
 		return err
@@ -250,29 +249,9 @@ func (c *LocalClient) Restore(state []byte) error {
 	if err := c.discOpt.Restore(c.disc.Params(), st.discOpt); err != nil {
 		return err
 	}
-	if st.shuffles > 0 {
-		rows := c.table.Rows()
-		comp := make([]int, rows)
-		for k := range comp {
-			comp[k] = k
-		}
-		next := make([]int, rows)
-		for r := 0; r < st.shuffles; r++ {
-			perm := rand.New(rand.NewSource(c.coord.SeedForRound(r))).Perm(rows)
-			// Composing left-to-right: after this round, position k holds
-			// what the previous composite put at perm[k] — the same motion
-			// EndRound's ShuffleRows applies one round at a time.
-			for k := range next {
-				next[k] = comp[perm[k]]
-			}
-			comp, next = next, comp
-		}
-		c.table = c.table.ShuffleRows(comp)
-		if err := c.data.Shuffle(comp); err != nil {
-			return fmt.Errorf("vfl: shuffling encoded data on restore: %w", err)
-		}
-		if err := c.sampler.Reindex(comp); err != nil {
-			return fmt.Errorf("vfl: reindexing CV sampler on restore: %w", err)
+	for r := 0; r < st.shuffles; r++ {
+		if err := c.shuffle(c.coord.SeedForRound(r)); err != nil {
+			return fmt.Errorf("vfl: replaying shuffle %d on restore: %w", r, err)
 		}
 	}
 	c.shuffles = st.shuffles
