@@ -50,11 +50,14 @@ race:
 	$(GO) test -race -short ./...
 	$(GO) test -race ./internal/vfl/... ./internal/tensor/... ./internal/autograd/...
 
-# Short-budget runs of every fuzzer in the module: the gtvsnap checkpoint
-# decoder, the gtvwire frame decoder, the blocked-matmul kernel, and the
-# gtvcol columnar file decoder (hostile bytes + encode/decode round-trip).
-# Each guards a byte-level or numeric contract that unit tests only sample.
+# Short-budget runs of every fuzzer in the module: the shared internal/bin
+# primitives (hostile bytes + marshal-twice round trip), the gtvsnap
+# checkpoint decoder, the gtvwire frame decoder, the blocked-matmul kernel,
+# and the gtvcol columnar file decoder (hostile bytes + encode/decode
+# round-trip). Each guards a byte-level or numeric contract that unit
+# tests only sample.
 fuzz:
+	$(GO) test -run '^$$' -fuzz FuzzDec -fuzztime $(FUZZTIME) ./internal/bin
 	$(GO) test -run '^$$' -fuzz FuzzSnapshotDecode -fuzztime $(FUZZTIME) ./internal/snap
 	$(GO) test -run '^$$' -fuzz FuzzWireFrameDecode -fuzztime $(FUZZTIME) ./internal/vfl
 	$(GO) test -run '^$$' -fuzz FuzzMatMulAgainstNaive -fuzztime $(FUZZTIME) ./internal/tensor

@@ -16,8 +16,10 @@
 # demux goroutine, per-connection server goroutines, and shared
 # frame-buffer pool, and the tensor/autograd substrate — worker pool,
 # buffer free lists — it fans out over). Last, a short-budget pass over
-# every fuzzer in the module (snapshot decoder, wire frame decoder,
-# matmul kernel) so decoder defenses regress loudly, not silently.
+# all six fuzzers in the module (the shared internal/bin codec primitives,
+# the snapshot decoder, the wire frame decoder, the matmul kernel, and the
+# gtvcol file decoder and round trip) so decoder defenses regress loudly,
+# not silently.
 set -eux
 
 go vet ./...

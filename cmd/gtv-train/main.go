@@ -182,7 +182,14 @@ func run(args []string, stdout io.Writer) error {
 	// n-row synthesis no one looks at.
 	wantSynth := !*skipEval || *synthOut != ""
 	var synth *encoding.Table
-	trainStart := time.Now()
+	// Setup (GMM fit and encode, or opening the store, plus any resume)
+	// is timed apart from training, so the training line measures rounds.
+	setupStart := time.Now()
+	var trainStart time.Time
+	startTraining := func() {
+		fmt.Fprintf(stdout, "setup: encode, models and restore in %s\n", time.Since(setupStart))
+		trainStart = time.Now()
+	}
 	if *centralized {
 		c, err := core.NewCentralized(train, opts)
 		if err != nil {
@@ -206,6 +213,7 @@ func run(args []string, stdout io.Writer) error {
 			}
 			trainCB, finish = withCheckpoints(c, *ckptDir, *ckptEvery, progress)
 		}
+		startTraining()
 		if err := c.Train(trainCB); err != nil {
 			return err
 		}
@@ -238,6 +246,7 @@ func run(args []string, stdout io.Writer) error {
 		if *resume && g.Rounds() > 0 {
 			fmt.Fprintf(stdout, "resumed federated training at round %d\n", g.Rounds())
 		}
+		startTraining()
 		if err := g.Train(progress); err != nil {
 			return err
 		}

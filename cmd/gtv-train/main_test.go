@@ -21,10 +21,14 @@ func TestRunGTVTiny(t *testing.T) {
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	for _, want := range []string{"GTV D2_0G2_0", "statistical similarity", "ML utility difference"} {
+	for _, want := range []string{"GTV D2_0G2_0", "setup: ", "training: 6 rounds in", "statistical similarity", "ML utility difference"} {
 		if !strings.Contains(out.String(), want) {
 			t.Fatalf("output missing %q:\n%s", want, out.String())
 		}
+	}
+	// Set-up is reported on its own line, before (and apart from) training.
+	if strings.Index(out.String(), "setup: ") > strings.Index(out.String(), "training: ") {
+		t.Fatalf("setup line after the training line:\n%s", out.String())
 	}
 	data, err := os.ReadFile(synthPath)
 	if err != nil {

@@ -21,9 +21,10 @@
 // .gtvcol file follows the same trajectory, bit for bit, as training from
 // the in-memory matrix it was written from.
 //
-// The container framing follows the gtvsnap/gtvwire codec rules: magic +
-// version header, length-prefixed sections, a CRC32 per block and on the
-// footer, every length bounded before allocation, and trailing or
+// The container framing follows the gtvsnap/gtvwire codec rules and reads
+// and writes its varint fields with the same internal/bin primitives:
+// magic + version header, length-prefixed sections, a CRC32 per block and
+// on the footer, every length bounded before allocation, and trailing or
 // interleaved garbage rejected (the footer's accounting must reproduce the
 // file size exactly).
 package coldata
@@ -34,6 +35,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+
+	"repro/internal/bin"
 )
 
 // appendCRC appends the IEEE CRC32 of dst[start:] to dst.
@@ -97,35 +100,13 @@ func corruptf(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrCorrupt, fmt.Sprintf(format, args...))
 }
 
-// ---- varint helpers ----
-//
-// Same wire primitives as gtvwire: unsigned LEB128 via encoding/binary,
-// with a strict reader that fails instead of silently mis-parsing.
-
-func appendUvarint(dst []byte, v uint64) []byte {
-	return binary.AppendUvarint(dst, v)
-}
-
-func uvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
+// corrupt wraps a bin decoder failure in ErrCorrupt (nil stays nil).
+func corrupt(err error) error {
+	if err == nil {
+		return nil
 	}
-	return n
+	return corruptf("%v", err)
 }
-
-// readUvarint consumes a uvarint from b, returning the value and the rest.
-func readUvarint(b []byte) (uint64, []byte, error) {
-	v, n := binary.Uvarint(b)
-	if n <= 0 {
-		return 0, nil, corruptf("bad uvarint")
-	}
-	return v, b[n:], nil
-}
-
-func zigzag(v int64) uint64   { return uint64((v << 1) ^ (v >> 63)) }
-func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
 // ---- block encoding ----
 
@@ -168,9 +149,9 @@ func scanBlock(vals []float64) blockStats {
 		if b != 0 {
 			s.nnz++
 			if prevNZ < 0 {
-				s.deltaBytes += uvarintLen(uint64(i))
+				s.deltaBytes += bin.UvarintLen(uint64(i))
 			} else {
-				s.deltaBytes += uvarintLen(uint64(i - prevNZ))
+				s.deltaBytes += bin.UvarintLen(uint64(i - prevNZ))
 			}
 			prevNZ = i
 			if b != oneBits {
@@ -229,12 +210,12 @@ func chooseLayout(vals []float64) (byte, blockStats) {
 		costs[layoutBitmap] = (s.n + 7) / 8
 	}
 	if s.nonzeroOnes {
-		costs[layoutSparseOnes] = uvarintLen(uint64(s.nnz)) + s.deltaBytes
+		costs[layoutSparseOnes] = bin.UvarintLen(uint64(s.nnz)) + s.deltaBytes
 	}
-	costs[layoutSparse] = uvarintLen(uint64(s.nnz)) + s.deltaBytes + 8*s.nnz
+	costs[layoutSparse] = bin.UvarintLen(uint64(s.nnz)) + s.deltaBytes + 8*s.nnz
 	if s.allIntegral && s.n > 0 {
 		w := forWidth(uint64(s.maxI - s.minI))
-		costs[layoutFOR] = uvarintLen(zigzag(s.minI)) + 1 + w*s.n
+		costs[layoutFOR] = bin.VarintLen(s.minI) + 1 + w*s.n
 	}
 	best := layoutDense
 	for l := byte(0); l < numLayouts; l++ {
@@ -252,19 +233,20 @@ func chooseLayout(vals []float64) (byte, blockStats) {
 // where the CRC covers everything before it. The frame is appended to dst.
 func appendBlock(dst []byte, vals []float64) []byte {
 	layout, s := chooseLayout(vals)
-	payload := encodePayload(nil, layout, s, vals)
-	start := len(dst)
-	dst = append(dst, layout)
-	dst = appendUvarint(dst, uint64(len(vals)))
-	dst = appendUvarint(dst, uint64(len(payload)))
-	dst = append(dst, payload...)
-	return appendCRC(dst, start)
+	payload := bin.Enc{}
+	encodePayload(&payload, layout, s, vals)
+	e := bin.Enc{Buf: dst}
+	e.U8(layout)
+	e.Uvarint(uint64(len(vals)))
+	e.Uvarint(uint64(len(payload.Buf)))
+	e.Buf = append(e.Buf, payload.Buf...)
+	return appendCRC(e.Buf, len(dst))
 }
 
-func encodePayload(dst []byte, layout byte, s blockStats, vals []float64) []byte {
+func encodePayload(e *bin.Enc, layout byte, s blockStats, vals []float64) {
 	switch layout {
 	case layoutConst:
-		dst = binary.LittleEndian.AppendUint64(dst, s.firstBits)
+		e.U64(s.firstBits)
 	case layoutBitmap:
 		bits := make([]byte, (len(vals)+7)/8)
 		for i, v := range vals {
@@ -272,49 +254,46 @@ func encodePayload(dst []byte, layout byte, s blockStats, vals []float64) []byte
 				bits[i/8] |= 1 << uint(i%8)
 			}
 		}
-		dst = append(dst, bits...)
+		e.Buf = append(e.Buf, bits...)
 	case layoutSparseOnes, layoutSparse:
-		dst = appendUvarint(dst, uint64(s.nnz))
+		e.Uvarint(uint64(s.nnz))
 		prev := -1
 		for i, v := range vals {
 			if math.Float64bits(v) == 0 {
 				continue
 			}
 			if prev < 0 {
-				dst = appendUvarint(dst, uint64(i))
+				e.Uvarint(uint64(i))
 			} else {
-				dst = appendUvarint(dst, uint64(i-prev))
+				e.Uvarint(uint64(i - prev))
 			}
 			prev = i
 		}
 		if layout == layoutSparse {
 			for _, v := range vals {
 				if b := math.Float64bits(v); b != 0 {
-					dst = binary.LittleEndian.AppendUint64(dst, b)
+					e.U64(b)
 				}
 			}
 		}
 	case layoutFOR:
 		w := forWidth(uint64(s.maxI - s.minI))
-		dst = appendUvarint(dst, zigzag(s.minI))
-		dst = append(dst, byte(w))
+		e.Varint(s.minI)
+		e.U8(byte(w))
 		for _, v := range vals {
 			d := uint64(int64(v) - s.minI)
 			switch w {
 			case 1:
-				dst = append(dst, byte(d))
+				e.U8(byte(d))
 			case 2:
-				dst = binary.LittleEndian.AppendUint16(dst, uint16(d))
+				e.Buf = binary.LittleEndian.AppendUint16(e.Buf, uint16(d))
 			case 4:
-				dst = binary.LittleEndian.AppendUint32(dst, uint32(d))
+				e.U32(uint32(d))
 			default:
-				dst = binary.LittleEndian.AppendUint64(dst, d)
+				e.U64(d)
 			}
 		}
 	default: // layoutDense
-		for _, v := range vals {
-			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
-		}
+		e.F64s(vals)
 	}
-	return dst
 }

@@ -5,6 +5,7 @@ import (
 	"hash/crc32"
 	"math"
 
+	"repro/internal/bin"
 	"repro/internal/tensor"
 )
 
@@ -63,22 +64,18 @@ func parseBlock(buf *BlockBuf, wantCount int) (*blockHandle, error) {
 	if layout >= numLayouts {
 		return nil, corruptf("unknown block layout %d", layout)
 	}
-	rest := body[1:]
-	count64, rest, err := readUvarint(rest)
-	if err != nil {
-		return nil, err
+	d := bin.NewDec("block: ", body[1:])
+	count64, plen := d.Uvarint(), d.Uvarint()
+	if err := d.Err(); err != nil {
+		return nil, corrupt(err)
 	}
 	if int64(count64) != int64(wantCount) {
 		return nil, corruptf("block has %d rows, footer implies %d", count64, wantCount)
 	}
-	plen, rest, err := readUvarint(rest)
-	if err != nil {
-		return nil, err
+	if uint64(d.Remaining()) != plen {
+		return nil, corruptf("block payload length %d, frame holds %d", plen, d.Remaining())
 	}
-	if uint64(len(rest)) != plen {
-		return nil, corruptf("block payload length %d, frame holds %d", plen, len(rest))
-	}
-	h := &blockHandle{layout: layout, count: wantCount, buf: buf, payload: rest}
+	h := &blockHandle{layout: layout, count: wantCount, buf: buf, payload: d.Take(int(plen))}
 	if err := h.parsePayload(); err != nil {
 		h.buf = nil // caller keeps ownership on failure
 		return nil, err
@@ -102,10 +99,8 @@ func (h *blockHandle) parsePayload() error {
 			return corruptf("bitmap has bits set past the last row")
 		}
 	case layoutSparseOnes, layoutSparse:
-		nnz64, rest, err := readUvarint(p)
-		if err != nil {
-			return err
-		}
+		d := bin.NewDec("sparse block: ", p)
+		nnz64 := d.Uvarint()
 		if nnz64 > uint64(h.count) {
 			return corruptf("sparse block claims %d nonzeros in %d rows", nnz64, h.count)
 		}
@@ -113,17 +108,16 @@ func (h *blockHandle) parsePayload() error {
 		h.idx = make([]int32, nnz)
 		prev := int64(-1)
 		for k := 0; k < nnz; k++ {
-			d, r, err := readUvarint(rest)
-			if err != nil {
-				return err
+			delta := d.Uvarint()
+			if err := d.Err(); err != nil {
+				return corrupt(err)
 			}
-			rest = r
 			var row int64
 			if k == 0 {
-				row = int64(d)
+				row = int64(delta)
 			} else {
-				row = prev + int64(d)
-				if d == 0 {
+				row = prev + int64(delta)
+				if delta == 0 {
 					return corruptf("sparse indices not strictly ascending")
 				}
 			}
@@ -133,6 +127,10 @@ func (h *blockHandle) parsePayload() error {
 			prev = row
 			h.idx[k] = int32(row)
 		}
+		if err := d.Err(); err != nil {
+			return corrupt(err)
+		}
+		rest := d.Take(d.Remaining())
 		if h.layout == layoutSparse {
 			if len(rest) != 8*nnz {
 				return corruptf("sparse values %d bytes for %d nonzeros", len(rest), nnz)
@@ -149,22 +147,19 @@ func (h *blockHandle) parsePayload() error {
 			return corruptf("%d trailing bytes in sparse-ones payload", len(rest))
 		}
 	case layoutFOR:
-		zz, rest, err := readUvarint(p)
-		if err != nil {
-			return err
+		d := bin.NewDec("FOR block: ", p)
+		h.forMin = d.Varint()
+		w := int(d.U8())
+		if err := d.Err(); err != nil {
+			return corrupt(err)
 		}
-		h.forMin = unzigzag(zz)
 		if h.forMin < -maxExactInt || h.forMin > maxExactInt {
 			return corruptf("FOR minimum %d outside exact-integer range", h.forMin)
 		}
-		if len(rest) < 1 {
-			return corruptf("FOR payload missing width")
-		}
-		w := int(rest[0])
 		if w != 1 && w != 2 && w != 4 && w != 8 {
 			return corruptf("FOR width %d", w)
 		}
-		rest = rest[1:]
+		rest := d.Take(d.Remaining())
 		if len(rest) != w*h.count {
 			return corruptf("FOR body %d bytes for %d rows of width %d", len(rest), h.count, w)
 		}

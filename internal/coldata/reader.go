@@ -8,6 +8,7 @@ import (
 	"os"
 	"sort"
 
+	"repro/internal/bin"
 	"repro/internal/tensor"
 )
 
@@ -111,17 +112,11 @@ func (r *Reader) parseContainer(size int64) error {
 }
 
 func (r *Reader) parseFooter(footer []byte, footerOff int64) error {
-	var (
-		vals [4]uint64
-		err  error
-	)
-	rest := footer
-	for i := range vals {
-		if vals[i], rest, err = readUvarint(rest); err != nil {
-			return err
-		}
+	d := bin.NewDec("footer: ", footer)
+	rows, cols, blockRows, stripes := d.Uvarint(), d.Uvarint(), d.Uvarint(), d.Uvarint()
+	if err := d.Err(); err != nil {
+		return corrupt(err)
 	}
-	rows, cols, blockRows, stripes := vals[0], vals[1], vals[2], vals[3]
 	if int64(rows) > maxRows || cols == 0 || cols > maxCols ||
 		blockRows == 0 || blockRows > maxBlockRows {
 		return corruptf("dimensions rows=%d cols=%d blockRows=%d", rows, cols, blockRows)
@@ -133,7 +128,7 @@ func (r *Reader) parseFooter(footer []byte, footerOff int64) error {
 	r.rows, r.cols, r.blockRows, r.stripes = int(rows), int(cols), int(blockRows), int(stripes)
 
 	nBlocks := int(stripes) * r.cols
-	if uint64(len(rest)) < uint64(nBlocks) { // each length is >= 1 byte
+	if d.Remaining() < nBlocks { // each length is >= 1 byte
 		return corruptf("footer too short for %d block lengths", nBlocks)
 	}
 	r.blockOff = make([]int64, nBlocks)
@@ -141,9 +136,9 @@ func (r *Reader) parseFooter(footer []byte, footerOff int64) error {
 	off := int64(headerSize)
 	for b := 0; b < nBlocks; b++ {
 		stripeRows := r.stripeRows(b / r.cols)
-		var l uint64
-		if l, rest, err = readUvarint(rest); err != nil {
-			return err
+		l := d.Uvarint()
+		if err := d.Err(); err != nil {
+			return corrupt(err)
 		}
 		if l < 7 || l > uint64(maxBlockLen(stripeRows)) {
 			return corruptf("block %d length %d out of bounds", b, l)
@@ -153,9 +148,9 @@ func (r *Reader) parseFooter(footer []byte, footerOff int64) error {
 		off += int64(l)
 	}
 
-	metaCount, rest, err := readUvarint(rest)
-	if err != nil {
-		return err
+	metaCount := d.Uvarint()
+	if err := d.Err(); err != nil {
+		return corrupt(err)
 	}
 	if metaCount > maxMetaCount {
 		return corruptf("%d metadata entries", metaCount)
@@ -169,25 +164,17 @@ func (r *Reader) parseFooter(footer []byte, footerOff int64) error {
 	}
 	locs := make([]metaLoc, 0, metaCount)
 	for i := uint64(0); i < metaCount; i++ {
-		nameLen, rest2, err := readUvarint(rest)
-		if err != nil {
-			return err
-		}
-		if nameLen == 0 || nameLen > maxMetaName || uint64(len(rest2)) < nameLen {
+		nameLen := d.Uvarint()
+		if d.Err() == nil && (nameLen == 0 || nameLen > maxMetaName) {
 			return corruptf("meta name length %d", nameLen)
 		}
-		name := string(rest2[:nameLen])
-		rest2 = rest2[nameLen:]
-		blobLen, rest2, err := readUvarint(rest2)
-		if err != nil {
-			return err
+		name := string(d.Take(int(nameLen)))
+		blobLen, blobCRC := d.Uvarint(), d.Uvarint()
+		if err := d.Err(); err != nil {
+			return corrupt(err)
 		}
 		if blobLen > maxMetaLen {
 			return corruptf("meta %q blob length %d", name, blobLen)
-		}
-		blobCRC, rest2, err := readUvarint(rest2)
-		if err != nil {
-			return err
 		}
 		if blobCRC > 0xffffffff {
 			return corruptf("meta %q CRC out of range", name)
@@ -198,10 +185,9 @@ func (r *Reader) parseFooter(footer []byte, footerOff int64) error {
 		r.metas[name] = nil
 		locs = append(locs, metaLoc{name: name, off: off, len: int64(blobLen), crc: uint32(blobCRC)})
 		off += int64(blobLen)
-		rest = rest2
 	}
-	if len(rest) != 0 {
-		return corruptf("%d trailing bytes in footer", len(rest))
+	if d.Remaining() != 0 {
+		return corruptf("%d trailing bytes in footer", d.Remaining())
 	}
 	// The accounting must land exactly on the footer: any gap would be
 	// bytes the index never describes (interleaved or trailing garbage).

@@ -3,12 +3,11 @@ package encoding
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding/binary"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 
+	"repro/internal/bin"
 	"repro/internal/coldata"
 	"repro/internal/gmm"
 	"repro/internal/rng"
@@ -60,143 +59,88 @@ const (
 // on any layout change so stale caches re-encode instead of misparsing.
 const colstoreCodecVersion = 1
 
-const maxCodecElems = 1 << 24
-
-// --- binary blob codec -----------------------------------------------------
-
-func appendUv(b []byte, v uint64) []byte { return binary.AppendUvarint(b, v) }
-
-func appendF64(b []byte, v float64) []byte {
-	return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
-}
-
-// blobCursor reads the length-prefixed binary blobs colstore stores in
-// gtvcol metadata, latching the first error.
-type blobCursor struct {
-	b   []byte
-	err error
-}
-
-func (c *blobCursor) fail(format string, args ...any) {
-	if c.err == nil {
-		c.err = fmt.Errorf("encoding: "+format, args...)
-	}
-}
-
-func (c *blobCursor) uv() uint64 {
-	if c.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(c.b)
-	if n <= 0 {
-		c.fail("truncated varint in stored blob")
-		return 0
-	}
-	c.b = c.b[n:]
-	return v
-}
-
-// count reads a uvarint bounded by maxCodecElems, rejecting hostile
-// lengths before they size an allocation.
-func (c *blobCursor) count(what string) int {
-	v := c.uv()
-	if v > maxCodecElems {
-		c.fail("stored blob %s count %d out of bounds", what, v)
-		return 0
-	}
-	return int(v)
-}
-
-func (c *blobCursor) str(what string) string {
-	n := c.count(what)
-	if c.err != nil || n > len(c.b) {
-		c.fail("truncated %s in stored blob", what)
-		return ""
-	}
-	s := string(c.b[:n])
-	c.b = c.b[n:]
-	return s
-}
-
-func (c *blobCursor) f64() float64 {
-	if c.err != nil {
-		return 0
-	}
-	if len(c.b) < 8 {
-		c.fail("truncated float in stored blob")
-		return 0
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(c.b))
-	c.b = c.b[8:]
-	return v
-}
-
-func (c *blobCursor) done() error {
-	if c.err != nil {
-		return c.err
-	}
-	if len(c.b) != 0 {
-		return fmt.Errorf("encoding: %d trailing bytes in stored blob", len(c.b))
-	}
-	return nil
-}
-
 // --- spec codec ------------------------------------------------------------
 
-func appendSpec(b []byte, s *ColumnSpec) []byte {
-	b = appendUv(b, uint64(len(s.Name)))
-	b = append(b, s.Name...)
-	b = appendUv(b, uint64(s.Kind))
-	b = appendUv(b, uint64(len(s.Categories)))
-	for _, cat := range s.Categories {
-		b = appendUv(b, uint64(len(cat)))
-		b = append(b, cat...)
+// minSpecBytes is the smallest encoded ColumnSpec: an empty name, the kind
+// and two zero counts.
+const minSpecBytes = 4
+
+// EncodeSpecs appends column specs in the layout the gtvwire Publish
+// response and the colstore metadata blobs share: a uvarint count, then
+// per column its name, kind (uvarint), category labels (uvarint count,
+// then length-prefixed strings) and special values (uvarint count, then
+// float64s).
+func EncodeSpecs(e *bin.Enc, specs []ColumnSpec) {
+	e.Uvarint(uint64(len(specs)))
+	for i := range specs {
+		encodeSpec(e, &specs[i])
 	}
-	b = appendUv(b, uint64(len(s.SpecialValues)))
-	for _, v := range s.SpecialValues {
-		b = appendF64(b, v)
-	}
-	return b
 }
 
-func readSpec(c *blobCursor) ColumnSpec {
-	var s ColumnSpec
-	s.Name = c.str("spec name")
-	s.Kind = ColumnKind(c.uv())
-	if n := c.count("categories"); c.err == nil && n > 0 {
+func encodeSpec(e *bin.Enc, s *ColumnSpec) {
+	e.Str(s.Name)
+	e.Uvarint(uint64(s.Kind))
+	e.Uvarint(uint64(len(s.Categories)))
+	for _, c := range s.Categories {
+		e.Str(c)
+	}
+	e.Uvarint(uint64(len(s.SpecialValues)))
+	e.F64s(s.SpecialValues)
+}
+
+// DecodeSpecs reads what EncodeSpecs wrote. It does not validate the
+// specs; callers run ColumnSpec.Validate (NewTable does).
+func DecodeSpecs(d *bin.Dec) []ColumnSpec {
+	n := d.Count(minSpecBytes)
+	if d.Err() != nil {
+		return nil
+	}
+	specs := make([]ColumnSpec, n)
+	for i := range specs {
+		specs[i] = decodeSpec(d)
+	}
+	return specs
+}
+
+func decodeSpec(d *bin.Dec) ColumnSpec {
+	s := ColumnSpec{Name: d.Str(), Kind: ColumnKind(d.Uvarint())}
+	if n := d.Count(1); n > 0 {
 		s.Categories = make([]string, n)
 		for i := range s.Categories {
-			s.Categories[i] = c.str("category label")
+			s.Categories[i] = d.Str()
 		}
 	}
-	if n := c.count("special values"); c.err == nil && n > 0 {
+	if n := d.Count(8); n > 0 {
 		s.SpecialValues = make([]float64, n)
-		for i := range s.SpecialValues {
-			s.SpecialValues[i] = c.f64()
-		}
+		d.F64s(s.SpecialValues)
 	}
 	return s
+}
+
+// newBlobDec starts decoding a colstore metadata blob, checking its codec
+// version.
+func newBlobDec(what string, blob []byte) (bin.Dec, error) {
+	d := bin.NewDec("encoding: stored "+what+": ", blob)
+	if v := d.Uvarint(); d.Err() == nil && v != colstoreCodecVersion {
+		return d, fmt.Errorf("encoding: stored %s codec version %d, want %d", what, v, colstoreCodecVersion)
+	}
+	return d, nil
 }
 
 func encodeSpecs(specs []ColumnSpec) []byte {
-	b := appendUv(nil, colstoreCodecVersion)
-	b = appendUv(b, uint64(len(specs)))
-	for i := range specs {
-		b = appendSpec(b, &specs[i])
-	}
-	return b
+	e := &bin.Enc{}
+	e.Uvarint(colstoreCodecVersion)
+	EncodeSpecs(e, specs)
+	return e.Buf
 }
 
 func decodeSpecs(blob []byte) ([]ColumnSpec, error) {
-	c := &blobCursor{b: blob}
-	if v := c.uv(); c.err == nil && v != colstoreCodecVersion {
-		return nil, fmt.Errorf("encoding: stored specs codec version %d, want %d", v, colstoreCodecVersion)
+	d, err := newBlobDec("specs", blob)
+	if err != nil {
+		return nil, err
 	}
-	specs := make([]ColumnSpec, c.count("columns"))
-	for i := range specs {
-		specs[i] = readSpec(c)
-	}
-	if err := c.done(); err != nil {
+	specs := DecodeSpecs(&d)
+	if err := d.Finish(); err != nil {
 		return nil, err
 	}
 	for i := range specs {
@@ -215,54 +159,45 @@ func decodeSpecs(blob []byte) ([]ColumnSpec, error) {
 // routine FitTransformer uses, so a decoded transformer is functionally
 // identical to the one that was fitted.
 func (tr *Transformer) encodeBinary() []byte {
-	b := appendUv(nil, colstoreCodecVersion)
-	b = appendUv(b, uint64(len(tr.cols)))
+	e := &bin.Enc{}
+	e.Uvarint(colstoreCodecVersion)
+	e.Uvarint(uint64(len(tr.cols)))
 	for j := range tr.cols {
 		enc := &tr.cols[j]
-		b = appendSpec(b, &enc.spec)
+		encodeSpec(e, &enc.spec)
 		if enc.mixture == nil {
-			b = appendUv(b, 0)
+			e.Uvarint(0)
 			continue
 		}
-		b = appendUv(b, uint64(enc.mixture.K()))
-		for _, v := range enc.mixture.Weights {
-			b = appendF64(b, v)
-		}
-		for _, v := range enc.mixture.Means {
-			b = appendF64(b, v)
-		}
-		for _, v := range enc.mixture.Stds {
-			b = appendF64(b, v)
-		}
+		e.Uvarint(uint64(enc.mixture.K()))
+		e.F64s(enc.mixture.Weights)
+		e.F64s(enc.mixture.Means)
+		e.F64s(enc.mixture.Stds)
 	}
-	return b
+	return e.Buf
 }
 
 func decodeTransformer(blob []byte) (*Transformer, error) {
-	c := &blobCursor{b: blob}
-	if v := c.uv(); c.err == nil && v != colstoreCodecVersion {
-		return nil, fmt.Errorf("encoding: stored transformer codec version %d, want %d", v, colstoreCodecVersion)
+	d, err := newBlobDec("transformer", blob)
+	if err != nil {
+		return nil, err
 	}
-	n := c.count("columns")
+	// A column is a spec plus its mixture count; a mixture component is
+	// three float64s.
+	n := d.Count(minSpecBytes + 1)
 	tr := &Transformer{specs: make([]ColumnSpec, n), cols: make([]colEncoder, n)}
 	for j := 0; j < n; j++ {
-		spec := readSpec(c)
+		spec := decodeSpec(&d)
 		enc := colEncoder{spec: spec}
-		if k := c.count("mixture components"); k > 0 {
+		if k := d.Count(3 * 8); k > 0 {
 			m := gmm.Model{
 				Weights: make([]float64, k),
 				Means:   make([]float64, k),
 				Stds:    make([]float64, k),
 			}
-			for i := range m.Weights {
-				m.Weights[i] = c.f64()
-			}
-			for i := range m.Means {
-				m.Means[i] = c.f64()
-			}
-			for i := range m.Stds {
-				m.Stds[i] = c.f64()
-			}
+			d.F64s(m.Weights)
+			d.F64s(m.Means)
+			d.F64s(m.Stds)
 			enc.mixture = &m
 		}
 		if len(spec.SpecialValues) > 0 {
@@ -274,7 +209,7 @@ func decodeTransformer(blob []byte) (*Transformer, error) {
 		tr.specs[j] = spec
 		tr.cols[j] = enc
 	}
-	if err := c.done(); err != nil {
+	if err := d.Finish(); err != nil {
 		return nil, err
 	}
 	for j := range tr.cols {
@@ -298,18 +233,16 @@ func decodeTransformer(blob []byte) (*Transformer, error) {
 // fingerprint matches, so stale caches (different data, seed or config)
 // re-encode instead of silently training on the wrong matrix.
 func encodeFingerprint(seed int64, cfg gmm.Config, rows int, specs []ColumnSpec) []byte {
-	b := appendUv(nil, colstoreCodecVersion)
-	b = binary.AppendVarint(b, seed)
-	b = appendUv(b, uint64(rows))
-	b = appendUv(b, uint64(cfg.MaxComponents))
-	b = appendF64(b, cfg.WeightThreshold)
-	b = appendUv(b, uint64(cfg.MaxIter))
-	b = appendF64(b, cfg.Tol)
-	b = appendUv(b, uint64(len(specs)))
-	for i := range specs {
-		b = appendSpec(b, &specs[i])
-	}
-	sum := sha256.Sum256(b)
+	e := &bin.Enc{}
+	e.Uvarint(colstoreCodecVersion)
+	e.Varint(seed)
+	e.Uvarint(uint64(rows))
+	e.Uvarint(uint64(cfg.MaxComponents))
+	e.F64(cfg.WeightThreshold)
+	e.Uvarint(uint64(cfg.MaxIter))
+	e.F64(cfg.Tol)
+	EncodeSpecs(e, specs)
+	sum := sha256.Sum256(e.Buf)
 	return sum[:]
 }
 

@@ -1,70 +1,34 @@
 package snap
 
-// Section-payload primitives, deliberately the same shapes as the gtvwire
-// codec (internal/vfl/wirecodec.go): little-endian integers, a sticky
-// decode error so call sites read as straight-line field lists, explicit
-// remaining-bytes bounds before every allocation, and matrices streamed
-// from tensor.Dense.Data() on encode and into pooled buffers on decode.
-// Snapshots always store float64 elements — a checkpoint exists to resume
-// byte-identically, so the lossy float32 wire encoding has no place here.
+// Section-payload codec. Enc and Dec embed the shared internal/bin
+// primitives (little-endian fields, a sticky decode error, lengths bounded
+// by the bytes that remain) and add only what is specific to gtvsnap:
+// u32-prefixed byte strings and uint64 slices, and float64 matrices
+// streamed from tensor.Dense.Data() on encode and into pooled buffers on
+// decode. Snapshots always store float64 elements — a checkpoint exists
+// to resume byte-identically, so the lossy float32 wire encoding has no
+// place here.
 
 import (
-	"encoding/binary"
-	"fmt"
-	"math"
+	"bytes"
 
+	"repro/internal/bin"
 	"repro/internal/tensor"
 )
 
-func putU64(dst []byte, v uint64) { binary.LittleEndian.PutUint64(dst, v) }
-func getU64(src []byte) uint64    { return binary.LittleEndian.Uint64(src) }
-func getU32(src []byte) uint32    { return binary.LittleEndian.Uint32(src) }
-
-func appendU32(b []byte, v uint32) []byte { return binary.LittleEndian.AppendUint32(b, v) }
-
 // Enc appends one section payload to the Builder's buffer.
-type Enc struct{ buf []byte }
+type Enc struct{ bin.Enc }
 
-func (e *Enc) U8(v byte) { e.buf = append(e.buf, v) }
-func (e *Enc) U32(v uint32) {
-	e.buf = binary.LittleEndian.AppendUint32(e.buf, v)
-}
-func (e *Enc) I64(v int64) {
-	e.buf = binary.LittleEndian.AppendUint64(e.buf, uint64(v))
-}
-func (e *Enc) F64(v float64) {
-	e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(v))
-}
-
-func (e *Enc) Bool(v bool) {
-	if v {
-		e.U8(1)
-	} else {
-		e.U8(0)
-	}
-}
-
-func (e *Enc) Str(s string) {
-	e.U32(uint32(len(s)))
-	e.buf = append(e.buf, s...)
-}
-
+// Bytes appends a u32 length and the bytes.
 func (e *Enc) Bytes(b []byte) {
 	e.U32(uint32(len(b)))
-	e.buf = append(e.buf, b...)
-}
-
-func (e *Enc) Ints(v []int) {
-	e.U32(uint32(len(v)))
-	for _, x := range v {
-		e.I64(int64(x))
-	}
+	e.Buf = append(e.Buf, b...)
 }
 
 func (e *Enc) U64s(v []uint64) {
 	e.U32(uint32(len(v)))
 	for _, x := range v {
-		e.buf = binary.LittleEndian.AppendUint64(e.buf, x)
+		e.U64(x)
 	}
 }
 
@@ -79,162 +43,29 @@ func (e *Enc) Matrix(m *tensor.Dense) {
 	e.U8(1)
 	e.U32(uint32(m.Rows()))
 	e.U32(uint32(m.Cols()))
-	data := m.Data()
-	e.buf = growBuf(e.buf, 8*len(data))
-	for _, v := range data {
-		e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(v))
-	}
-}
-
-// growBuf ensures room for n more bytes so element-append loops never
-// re-grow mid-matrix.
-func growBuf(b []byte, n int) []byte {
-	if cap(b)-len(b) >= n {
-		return b
-	}
-	nb := make([]byte, len(b), len(b)+n)
-	copy(nb, b)
-	return nb
+	e.F64s(m.Data())
 }
 
 // Dec walks one section payload. The first decode error sticks; every
 // subsequent read returns zero values, so callers check Finish once.
-type Dec struct {
-	buf []byte
-	off int
-	err error
-}
+type Dec struct{ bin.Dec }
 
 // NewDec starts decoding one section payload.
-func NewDec(payload []byte) *Dec { return &Dec{buf: payload} }
+func NewDec(payload []byte) *Dec { return &Dec{bin.NewDec("gtvsnap: ", payload)} }
 
-func (d *Dec) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf("gtvsnap: "+format, args...)
-	}
-}
-
-// take returns the next n payload bytes, or nil after marking the decoder
-// failed when fewer remain.
-func (d *Dec) take(n int) []byte {
-	if d.err != nil {
-		return nil
-	}
-	if n < 0 || len(d.buf)-d.off < n {
-		d.fail("truncated section: need %d bytes at offset %d of %d", n, d.off, len(d.buf))
-		return nil
-	}
-	b := d.buf[d.off : d.off+n]
-	d.off += n
-	return b
-}
-
-// Err peeks at the sticky error without the trailing-bytes check, so
-// multi-stage decoders can stop early on a poisoned stream.
-func (d *Dec) Err() error { return d.err }
-
-// Remaining reports how many undecoded bytes are left, the bound callers
-// use to reject length prefixes larger than the data behind them.
-func (d *Dec) Remaining() int { return len(d.buf) - d.off }
-
-// Failf marks the decoder failed with a formatted message (first failure
-// sticks). Decoder helpers outside this package use it for their own
-// bounds checks.
-func (d *Dec) Failf(format string, args ...any) { d.fail(format, args...) }
-
-// Finish reports the sticky error, also flagging unconsumed trailing
-// bytes (a symptom of an encoder/decoder mismatch, i.e. a missed version
-// bump).
-func (d *Dec) Finish() error {
-	if d.err == nil && d.off != len(d.buf) {
-		d.fail("%d trailing section bytes", len(d.buf)-d.off)
-	}
-	return d.err
-}
-
-func (d *Dec) U8() byte {
-	b := d.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (d *Dec) U32() uint32 {
-	b := d.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-func (d *Dec) I64() int64 {
-	b := d.take(8)
-	if b == nil {
-		return 0
-	}
-	return int64(binary.LittleEndian.Uint64(b))
-}
-
-func (d *Dec) F64() float64 {
-	b := d.take(8)
-	if b == nil {
-		return 0
-	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(b))
-}
-
-func (d *Dec) Bool() bool { return d.U8() != 0 }
-
-func (d *Dec) Str() string {
-	n := d.U32()
-	b := d.take(int(n))
-	if b == nil {
-		return ""
-	}
-	return string(b)
-}
-
-// Bytes returns a copy of a length-prefixed byte string (a copy, because
-// section payloads alias the decoded file image, which checkpoint loaders
-// discard after restoring).
-func (d *Dec) Bytes() []byte {
-	n := d.U32()
-	b := d.take(int(n))
-	if b == nil {
-		return nil
-	}
-	out := make([]byte, len(b))
-	copy(out, b)
-	return out
-}
-
-func (d *Dec) Ints() []int {
-	n := int(d.U32())
-	if d.take(0) == nil || n > (len(d.buf)-d.off)/8 {
-		d.fail("int slice length %d exceeds section", n)
-		return nil
-	}
-	out := make([]int, n)
-	for i := range out {
-		out[i] = int(d.I64())
-	}
-	return out
-}
+// Bytes returns a copy of a u32-length-prefixed byte string (a copy,
+// because section payloads alias the decoded file image, which checkpoint
+// loaders discard after restoring).
+func (d *Dec) Bytes() []byte { return bytes.Clone(d.Take(d.Bound(uint64(d.U32()), 1))) }
 
 func (d *Dec) U64s() []uint64 {
-	n := int(d.U32())
-	if d.take(0) == nil || n > (len(d.buf)-d.off)/8 {
-		d.fail("uint64 slice length %d exceeds section", n)
+	n := d.Bound(uint64(d.U32()), 8)
+	if d.Err() != nil {
 		return nil
 	}
 	out := make([]uint64, n)
 	for i := range out {
-		b := d.take(8)
-		if b == nil {
-			return nil
-		}
-		out[i] = binary.LittleEndian.Uint64(b)
+		out[i] = d.U64()
 	}
 	return out
 }
@@ -243,29 +74,14 @@ func (d *Dec) U64s() []uint64 {
 // (every element is overwritten). Ownership passes to the caller; restore
 // paths copy into live parameter tensors and Release the decoded buffer.
 func (d *Dec) Matrix() *tensor.Dense {
-	tag := d.U8()
-	if d.err != nil || tag == 0 {
+	if d.U8() == 0 {
 		return nil
 	}
-	rows := int(d.U32())
-	cols := int(d.U32())
-	if d.err != nil {
-		return nil
-	}
-	// Bounding rows by remaining/(cols*8) both rejects shapes larger than
-	// the section and keeps rows*cols from overflowing below.
-	if rows < 0 || cols < 0 || (cols != 0 && rows > (len(d.buf)-d.off)/(cols*8)) {
-		d.fail("matrix shape %dx%d exceeds section", rows, cols)
-		return nil
-	}
-	raw := d.take(rows * cols * 8)
-	if raw == nil {
+	rows, cols, ok := d.Shape(uint64(d.U32()), uint64(d.U32()), 8, d.Remaining())
+	if !ok {
 		return nil
 	}
 	out := tensor.NewPooledUninit(rows, cols)
-	data := out.Data()
-	for i := range data {
-		data[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
-	}
+	d.F64s(out.Data())
 	return out
 }

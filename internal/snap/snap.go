@@ -27,6 +27,7 @@
 package snap
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -34,6 +35,8 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+
+	"repro/internal/bin"
 )
 
 const (
@@ -110,14 +113,15 @@ func (s *Snapshot) All(id byte) [][]byte {
 // Builder accumulates an encoded snapshot in memory. Sections are framed
 // as they are added; Bytes returns the finished file image.
 type Builder struct {
-	buf []byte
+	enc Enc
 }
 
 // NewBuilder starts a snapshot of the given kind.
 func NewBuilder(kind byte) *Builder {
-	b := &Builder{buf: make([]byte, 0, 1<<16)}
-	b.buf = append(b.buf, magic[:]...)
-	b.buf = append(b.buf, Version, kind)
+	b := &Builder{enc: Enc{bin.Enc{Buf: make([]byte, 0, 1<<16)}}}
+	b.enc.Buf = append(b.enc.Buf, magic[:]...)
+	b.enc.U8(Version)
+	b.enc.U8(kind)
 	return b
 }
 
@@ -125,20 +129,17 @@ func NewBuilder(kind byte) *Builder {
 // length prefix and CRC are filled in after encode runs, so the callback
 // just writes fields in order.
 func (b *Builder) Section(id byte, encode func(*Enc)) {
-	b.buf = append(b.buf, id)
-	lenAt := len(b.buf)
-	b.buf = append(b.buf, 0, 0, 0, 0, 0, 0, 0, 0)
-	e := &Enc{buf: b.buf}
-	encode(e)
-	b.buf = e.buf
-	payload := b.buf[lenAt+8:]
-	putU64(b.buf[lenAt:lenAt+8], uint64(len(payload)))
-	sum := crc32.ChecksumIEEE(payload)
-	b.buf = appendU32(b.buf, sum)
+	b.enc.U8(id)
+	lenAt := len(b.enc.Buf)
+	b.enc.U64(0)
+	encode(&b.enc)
+	payload := b.enc.Buf[lenAt+8:]
+	binary.LittleEndian.PutUint64(b.enc.Buf[lenAt:], uint64(len(payload)))
+	b.enc.U32(crc32.ChecksumIEEE(payload))
 }
 
 // Bytes returns the complete encoded snapshot.
-func (b *Builder) Bytes() []byte { return b.buf }
+func (b *Builder) Bytes() []byte { return b.enc.Buf }
 
 // Decode parses and verifies a snapshot image: magic, version, section
 // framing and per-section CRCs. Section payloads alias data.
@@ -157,25 +158,24 @@ func Decode(data []byte) (*Snapshot, error) {
 		return nil, fmt.Errorf("gtvsnap: unknown snapshot kind %d", kind)
 	}
 	s := &Snapshot{Kind: kind}
-	rest := data[headerLen:]
-	for len(rest) > 0 {
-		if len(rest) < sectionOverhead {
-			return nil, fmt.Errorf("gtvsnap: truncated section header: %d trailing bytes", len(rest))
+	d := bin.NewDec("gtvsnap: ", data[headerLen:])
+	for d.Remaining() > 0 {
+		if d.Remaining() < sectionOverhead {
+			return nil, fmt.Errorf("gtvsnap: truncated section header: %d trailing bytes", d.Remaining())
 		}
-		id := rest[0]
-		n := getU64(rest[1:9])
+		id := d.U8()
 		// Bounding by the bytes actually present both rejects truncated
 		// files and keeps a corrupt length from driving allocation.
-		if n > uint64(len(rest)-sectionOverhead) {
-			return nil, fmt.Errorf("gtvsnap: section %d length %d exceeds remaining %d bytes", id, n, len(rest)-sectionOverhead)
+		n := d.U64()
+		if n > uint64(d.Remaining()-4) {
+			return nil, fmt.Errorf("gtvsnap: section %d length %d exceeds remaining %d bytes", id, n, d.Remaining()-4)
 		}
-		payload := rest[9 : 9+n]
-		want := getU32(rest[9+n : 9+n+4])
+		payload := d.Take(int(n))
+		want := d.U32()
 		if got := crc32.ChecksumIEEE(payload); got != want {
 			return nil, fmt.Errorf("gtvsnap: section %d CRC mismatch: file %08x, computed %08x", id, want, got)
 		}
 		s.Sections = append(s.Sections, Section{ID: id, Payload: payload})
-		rest = rest[sectionOverhead+n:]
 	}
 	return s, nil
 }

@@ -2,6 +2,7 @@ package snap
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"os"
@@ -29,17 +30,21 @@ func goldenSnapshot() []byte {
 		e.I64(-42)
 		e.F64(3.5)
 		e.Bool(true)
-		e.Str("gtvsnap")
+		e.Bytes([]byte("gtvsnap"))
 		e.Bytes([]byte{1, 2, 3})
 	})
 	b.Section(2, func(e *Enc) {
-		e.Ints([]int{-1, 0, 7})
+		// A u32 count and i64 elements: an int slice.
+		e.U32(3)
+		for _, v := range []int64{-1, 0, 7} {
+			e.I64(v)
+		}
 		e.U64s([]uint64{1, 1 << 40})
 		e.Matrix(tensor.FromRows([][]float64{{1, -2.5}, {0.125, 4096}}))
 		e.Matrix(nil)
 	})
 	b.Section(2, func(e *Enc) {
-		e.Str("repeated id")
+		e.Bytes([]byte("repeated id"))
 	})
 	return b.Bytes()
 }
@@ -103,8 +108,8 @@ func TestGoldenSnapshotDecode(t *testing.T) {
 	if !d.Bool() {
 		t.Error("Bool = false, want true")
 	}
-	if got := d.Str(); got != "gtvsnap" {
-		t.Errorf("Str = %q, want gtvsnap", got)
+	if got := string(d.Bytes()); got != "gtvsnap" {
+		t.Errorf("Bytes = %q, want gtvsnap", got)
 	}
 	if got := d.Bytes(); !bytes.Equal(got, []byte{1, 2, 3}) {
 		t.Errorf("Bytes = %v, want [1 2 3]", got)
@@ -117,9 +122,11 @@ func TestGoldenSnapshotDecode(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Need(2): %v", err)
 	}
-	ints := d.Ints()
-	if len(ints) != 3 || ints[0] != -1 || ints[1] != 0 || ints[2] != 7 {
-		t.Errorf("Ints = %v, want [-1 0 7]", ints)
+	if n := d.U32(); n != 3 {
+		t.Errorf("int count = %d, want 3", n)
+	}
+	if a, b, c := d.I64(), d.I64(), d.I64(); a != -1 || b != 0 || c != 7 {
+		t.Errorf("ints = [%d %d %d], want [-1 0 7]", a, b, c)
 	}
 	u64s := d.U64s()
 	if len(u64s) != 2 || u64s[0] != 1 || u64s[1] != 1<<40 {
@@ -152,8 +159,8 @@ func TestGoldenSnapshotDecode(t *testing.T) {
 	if len(reps) != 2 {
 		t.Fatalf("All(2) returned %d payloads, want 2", len(reps))
 	}
-	if got := NewDec(reps[1]).Str(); got != "repeated id" {
-		t.Errorf("repeated section Str = %q", got)
+	if got := string(NewDec(reps[1]).Bytes()); got != "repeated id" {
+		t.Errorf("repeated section Bytes = %q", got)
 	}
 }
 
@@ -166,7 +173,7 @@ func sectionBoundaries(t *testing.T, data []byte) map[int]bool {
 	ok := map[int]bool{headerLen: true}
 	off := headerLen
 	for off < len(data) {
-		n := int(getU64(data[off+1 : off+9]))
+		n := int(binary.LittleEndian.Uint64(data[off+1 : off+9]))
 		off += sectionOverhead + n
 		ok[off] = true
 	}
@@ -249,9 +256,6 @@ func TestDecodeHeaderDefenses(t *testing.T) {
 // than the bytes behind it fails instead of allocating.
 func TestDecLengthBounds(t *testing.T) {
 	huge := []byte{0xff, 0xff, 0xff, 0x7f} // u32 length ~2^31 with no data behind it
-	if NewDec(huge).Ints() != nil {
-		t.Error("Ints accepted a length prefix exceeding the section")
-	}
 	if NewDec(huge).U64s() != nil {
 		t.Error("U64s accepted a length prefix exceeding the section")
 	}
@@ -263,7 +267,7 @@ func TestDecLengthBounds(t *testing.T) {
 	e.U8(1)
 	e.U32(1 << 20)
 	e.U32(1 << 20)
-	if NewDec(e.buf).Matrix() != nil {
+	if NewDec(e.Buf).Matrix() != nil {
 		t.Error("Matrix accepted a shape exceeding the section")
 	}
 }
@@ -426,9 +430,10 @@ func FuzzSnapshotDecode(f *testing.F) {
 			d.I64()
 			d.F64()
 			d.Bool()
+			d.Uvarint()
+			d.Varint()
 			d.Str()
 			d.Bytes()
-			d.Ints()
 			d.U64s()
 			if m := d.Matrix(); m != nil {
 				m.Release()
